@@ -262,7 +262,9 @@ def _fixed_point_section(fp: FixedPointReport) -> list[str]:
         f"  gradient-residual: {_fmt(fp.grad_norm)}",
         f"  gradient-ok: {fp.grad_ok}",
         f"  hessian-positive-definite: {fp.hessian_ok}",
+        f"  pd-margin: {_vector(fp.per_cluster_pd_margin)}",
         f"  valley-samples-positive: {fp.valley_ok}",
+        f"  valley-sample-counts: {_vector(fp.per_cluster_valley_samples)}",
         f"  epsilon-bound: {_fmt(fp.epsilon_bound)}",
         f"  geometric-condition-ok: {fp.geometric_ok}",
         f"  active-counts: {_vector(fp.active_counts)}",

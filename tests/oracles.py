@@ -3,13 +3,19 @@
 Everything here deliberately avoids the library's own code paths: costs are
 accumulated by naive double loops, roots come from a dense grid scan refined
 by Brent's method, and second derivatives come from central finite
-differences of the cost.
+differences of the cost.  The dense fixed-point monitor at the end is the
+original full-matrix implementation, kept as the reference for the
+library's structured one.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import brentq
+
+from spcm.core import MembershipMatrix, ModelState, squared_distances
+from spcm.membership import radius_squared
+from spcm.monitor import MonitorSettings, epsilon_bound, gradient_residual
 
 
 def naive_point_term(d, u, gamma, lam, p):
@@ -162,3 +168,151 @@ def fd_cluster_hessian(points_active, gamma, lam, p, u, theta, h=1e-5):
             ) / (4.0 * hi * ht)
             H[i, k + q] = H[k + q, i] = v
     return H
+
+
+# ---------------------------------------------------------------------------
+# Dense fixed-point monitor: the original implementation, which assembles each
+# cluster's full (k+l)x(k+l) Hessian, factorises it with Cholesky and
+# evaluates the valley quadratic forms with a three-operand einsum.  The
+# library's structured monitor must reach the same verdicts on the same random
+# stream.  Only the Hessian/valley code is kept here; the gradient residual,
+# valley radius and influence radius come from the library unchanged.
+
+
+def _dense_membership_values(U) -> np.ndarray:
+    return U.values if isinstance(U, MembershipMatrix) else np.asarray(U, dtype=np.float64)
+
+
+def dense_assemble_hessian(X, state, U, cluster: int) -> np.ndarray:
+    values = _dense_membership_values(U)
+    active = np.nonzero(values[:, cluster] > 0)[0]
+    k = active.size
+    if k < 1:
+        raise ValueError(f"cluster {cluster} has no active points")
+    u = values[active, cluster]
+    gamma = float(state.gammas[cluster])
+    lam, p = state.lam, state.p
+    theta = state.representatives[cluster]
+    l = theta.size
+
+    g = gamma / u - lam * p * (1.0 - p) * u ** (p - 2.0)
+    H = np.zeros((k + l, k + l))
+    H[np.arange(k), np.arange(k)] = g
+    cross = 2.0 * (theta[None, :] - X.points[active])  # (k, l)
+    H[:k, k:] = cross
+    H[k:, :k] = cross.T
+    H[k:, k:] = 2.0 * u.sum() * np.eye(l)
+    return H
+
+
+def _dense_is_positive_definite(H: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(H)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def dense_valley_samples(X, u_star, theta_star, active, lo, hi, eps, n, scale, rng):
+    pts = X.points[active]
+    u_set = np.empty((0, u_star.size))
+    th_set = np.empty((0, theta_star.size))
+    step = scale
+    while u_set.shape[0] < n and step > 1e-12:
+        draw = max(n, 4 * (n - u_set.shape[0]))
+        cand = u_star[None, :] * (1.0 + rng.uniform(-step, step, size=(draw, u_star.size)))
+        cand = np.clip(cand, lo, hi)
+        sums = cand.sum(axis=1)
+        means = (cand @ pts) / sums[:, None]
+        keep = np.linalg.norm(means - theta_star[None, :], axis=1) < eps
+        u_set = np.vstack([u_set, cand[keep]])
+        th_set = np.vstack([th_set, means[keep]])
+        step *= 0.5
+    return u_set[:n], th_set[:n]
+
+
+def dense_check_fixed_point(X, state, U, settings=None) -> dict:
+    """The dense monitor; returns the report fields it shares with
+    :class:`spcm.monitor.FixedPointReport` as a dict."""
+    if settings is None:
+        settings = MonitorSettings()
+    values = _dense_membership_values(U)
+    rng = np.random.default_rng(settings.seed)
+
+    grad = gradient_residual(X, state, U)
+    d2 = squared_distances(X.points, state.representatives)
+
+    per_cluster_pd: list[bool] = []
+    valley_ok = True
+    geometric_ok = True
+    eps_values: list[float] = []
+    counts = (values > 0).sum(axis=0)
+
+    for j in range(state.n_clusters):
+        active = np.nonzero(values[:, j] > 0)[0]
+        u_star = values[active, j]
+        theta_star = state.representatives[j]
+
+        H = dense_assemble_hessian(X, state, U, j)
+        pd = _dense_is_positive_definite(H)
+        per_cluster_pd.append(pd)
+
+        eps_j = settings.epsilon_factor * epsilon_bound(state, j)
+        eps_values.append(epsilon_bound(state, j))
+
+        # Axis directions: the diagonal of H must be positive.
+        if (np.diag(H) <= 0).any():
+            valley_ok = False
+
+        # Quadratic form at sampled valley points against the fixed-point matrix.
+        if state.lam > 0:
+            lo = (state.lam * (1.0 - state.p) / float(state.gammas[j])) ** (1.0 / (1.0 - state.p))
+            hi = 1.0
+        else:
+            lo, hi = 1e-12, 1.0
+        u_samp, th_samp = dense_valley_samples(
+            X, u_star, theta_star, active, lo, hi, eps_j,
+            settings.ball_samples, settings.perturb_scale, rng,
+        )
+        Z = np.hstack([u_samp, th_samp])
+        if settings.ball_samples > 0 and Z.shape[0] == 0:
+            # no admissible sample: the state is too far from stationarity
+            # for the valley to exist; never report a vacuous pass
+            valley_ok = False
+        if Z.shape[0]:
+            forms = np.einsum("si,ij,sj->s", Z, H, Z)
+            if (forms <= 0).any():
+                valley_ok = False
+
+        # Interior variant: matrices assembled at sampled states, probed with
+        # other sampled points (separations up to twice the radius).
+        n_cross = min(settings.cross_samples, u_samp.shape[0])
+        for s in range(n_cross):
+            mod_values = values.copy()
+            mod_values[active, j] = u_samp[s]
+            reps = state.representatives.copy()
+            reps[j] = th_samp[s]
+            state_s = ModelState(reps, state.gammas, state.lam, state.p)
+            H_s = dense_assemble_hessian(X, state_s, mod_values, j)
+            probe = Z[rng.integers(0, Z.shape[0], size=min(8, Z.shape[0]))]
+            if (np.einsum("si,ij,sj->s", probe, H_s, probe) <= 0).any():
+                valley_ok = False
+
+        # Geometry: active points inside the influence ball, inactive outside.
+        r_sq = radius_squared(float(state.gammas[j]), state.lam, state.p)
+        inactive = np.setdiff1d(np.arange(X.n_points), active)
+        if (d2[active, j] > r_sq).any():
+            geometric_ok = False
+        if inactive.size and not (d2[inactive, j] > r_sq).all():
+            geometric_ok = False
+
+    return dict(
+        grad_norm=grad,
+        grad_ok=grad < settings.grad_tol,
+        hessian_ok=all(per_cluster_pd),
+        valley_ok=valley_ok,
+        epsilon_bound=float(min(eps_values)),
+        active_counts=counts,
+        geometric_ok=geometric_ok,
+        per_cluster_hessian_ok=tuple(per_cluster_pd),
+    )

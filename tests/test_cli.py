@@ -128,6 +128,9 @@ class TestRunCommand:
         summary = (out / "summary.txt").read_text()
         assert "termination: converged" in summary
         assert "clusters-retained: 3" in summary
+        assert "valley-sample-counts: [1000.0, 1000.0, 1000.0, 1000.0]" in summary
+        margins = summary.split("pd-margin: ")[1].split("\n")[0]
+        assert all(float(v) > 0 for v in margins.strip("[]").split(","))
         memberships = np.loadtxt(out / "memberships.csv", delimiter=",")
         assert memberships.shape[1] == 3
         trace = (out / "trace.csv").read_text().strip().splitlines()

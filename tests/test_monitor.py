@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
+import spcm.monitor
 from spcm.core import DataSet, MembershipMatrix, ModelState
 from spcm.driver import SolverConfig, run, run_pcm2
 from spcm.initialization import compute_lambda
 from spcm.membership import build_context
 from spcm.monitor import (
     MonitorSettings,
+    _arrowhead_blocks,
+    _arrowhead_forms,
+    _is_positive_definite,
+    _schur_complement,
+    _valley_samples,
     assemble_hessian,
     check_fixed_point,
     epsilon_bound,
@@ -15,7 +21,7 @@ from spcm.monitor import (
 )
 
 from conftest import make_noise_benchmark
-from oracles import cluster_cost_fn, fd_hessian
+from oracles import cluster_cost_fn, dense_check_fixed_point, dense_valley_samples, fd_hessian
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +175,8 @@ class TestCheckFixedPoint:
         assert report.geometric_ok
         assert all(report.per_cluster_hessian_ok)
         assert (report.active_counts >= 1).all()
+        assert report.per_cluster_valley_samples == (1000, 1000, 1000)
+        assert all(margin > 0 for margin in report.per_cluster_pd_margin)
         assert report.epsilon_bound == pytest.approx(
             min(epsilon_bound(result.state, j) for j in range(3)), rel=1e-15
         )
@@ -198,6 +206,171 @@ class TestCheckFixedPoint:
         assert epsilon_bound(state, 0) == pytest.approx(0.25, rel=1e-15)
         pcm2_state = ModelState([[0.0]], [1.0], 0.0, 0.5)
         assert epsilon_bound(pcm2_state, 0) == pytest.approx(0.5 * np.sqrt(0.5), rel=1e-15)
+
+
+class TestMonitorSettings:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grad_tol", 0.0),
+            ("grad_tol", -1e-6),
+            ("ball_samples", -5),
+            ("cross_samples", -3),
+            ("epsilon_factor", 0.0),
+            ("epsilon_factor", 1.5),
+            ("perturb_scale", 0.0),
+            ("perturb_scale", -0.05),
+        ],
+    )
+    def test_rejects_values_that_corrupt_verdicts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MonitorSettings(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        MonitorSettings(ball_samples=0, cross_samples=0, epsilon_factor=1.0)
+
+
+def _cluster_blocks(X, state, U, j=0):
+    values = U.values
+    active = values[:, j] > 0
+    return _arrowhead_blocks(
+        X.points[active], values[active, j], state.representatives[j],
+        float(state.gammas[j]), state.lam, state.p,
+    )
+
+
+class TestStructuredHessian:
+    def test_forms_match_dense_quadratic_forms(self, rng):
+        for _ in range(20):
+            k = int(rng.integers(1, 12))
+            l = int(rng.integers(1, 5))
+            X, state, U, _ = random_cluster_state(rng, k=k, l=l)
+            H = assemble_hessian(X, state, U, 0)
+            Z = rng.uniform(0.0, 1.0, size=(50, k + l))
+            Z[:, k:] += state.representatives[0]
+            dense = np.einsum("si,ij,sj->s", Z, H, Z)
+            forms = _arrowhead_forms(*_cluster_blocks(X, state, U), Z[:, :k], Z[:, k:])
+            np.testing.assert_allclose(forms, dense, rtol=1e-12)
+
+    def test_schur_test_agrees_with_dense_cholesky(self, rng):
+        seen = set()
+        for _ in range(60):
+            k = int(rng.integers(1, 8))
+            l = int(rng.integers(1, 4))
+            X, state, U, _ = random_cluster_state(rng, k=k, l=l)
+            # spread the points so that some Hessians are indefinite
+            X = DataSet(X.points * rng.uniform(0.2, 3.0))
+            g, C, s = _cluster_blocks(X, state, U)
+            H = assemble_hessian(X, state, U, 0)
+            assert (g > 0).all()
+            S = _schur_complement(g, C, s)
+            pd = _is_positive_definite(S)
+            assert pd == _is_positive_definite(H)
+            assert (np.linalg.eigvalsh(S if pd else H)[0] > 0) == pd
+            seen.add(pd)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", [1000, 50])
+    @pytest.mark.parametrize("scale", [0.05, 3.0])
+    def test_valley_sampler_reproduces_dense_sampler(self, converged, n, scale):
+        X, result = converged
+        state, values = result.state, result.membership.values
+        for j in range(state.n_clusters):
+            active = np.nonzero(values[:, j] > 0)[0]
+            lo = (state.lam * (1 - state.p) / state.gammas[j]) ** (1 / (1 - state.p))
+            eps = 0.99 * epsilon_bound(state, j)
+            args = (X, values[active, j], state.representatives[j], active, lo, 1.0, eps, n, scale)
+            u_new, th_new = _valley_samples(*args, np.random.default_rng(3))
+            u_old, th_old = dense_valley_samples(*args, np.random.default_rng(3))
+            np.testing.assert_array_equal(u_new, u_old)
+            np.testing.assert_array_equal(th_new, th_old)
+
+    def test_interior_probes_use_the_hessian_at_each_sampled_state(self, converged, monkeypatch):
+        X, result = converged
+        state, values = result.state, result.membership.values
+        calls = []
+        real = spcm.monitor._arrowhead_forms
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spcm.monitor, "_arrowhead_forms", spy)
+        settings = MonitorSettings(ball_samples=20, cross_samples=3)
+        check_fixed_point(X, state, result.membership, settings)
+        per_cluster = 1 + settings.cross_samples
+        assert len(calls) == state.n_clusters * per_cluster
+        for j in range(state.n_clusters):
+            (*_, u_samp, th_samp), *probes = calls[j * per_cluster:(j + 1) * per_cluster]
+            active = values[:, j] > 0
+            for t, (g, C, s, u_probe, th_probe) in enumerate(probes):
+                moved = values.copy()
+                moved[active, j] = u_samp[t]
+                reps = state.representatives.copy()
+                reps[j] = th_samp[t]
+                H = assemble_hessian(X, ModelState(reps, state.gammas, state.lam, state.p), moved, j)
+                k = g.size
+                np.testing.assert_array_equal(g, np.diag(H)[:k])
+                np.testing.assert_array_equal(C, H[:k, k:])
+                assert s == H[k, k]
+                # probes are (u', theta') rows of the sample set
+                rows = [np.flatnonzero((u_samp == row).all(axis=1))[0] for row in u_probe]
+                np.testing.assert_array_equal(th_probe, th_samp[rows])
+
+    def test_check_never_assembles_the_dense_matrix(self, converged, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Hessian assembled")
+
+        monkeypatch.setattr(spcm.monitor, "assemble_hessian", refuse)
+        X, result = converged
+        report = check_fixed_point(X, result.state, result.membership, MonitorSettings(ball_samples=50))
+        assert report.hessian_ok and report.valley_ok
+
+
+GRID_FIELDS = (
+    "grad_norm", "grad_ok", "hessian_ok", "valley_ok", "epsilon_bound",
+    "active_counts", "geometric_ok", "per_cluster_hessian_ok",
+)
+
+
+@pytest.fixture(scope="module")
+def monitor_grid():
+    """Structured and dense reports over p, both algorithms, m and shifts of
+    representative 0 (the shifted states fail several checks)."""
+    X, _ = make_noise_benchmark(seed=5)
+    settings = MonitorSettings(ball_samples=200)
+    cases = []
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for algorithm in (run, run_pcm2):
+            for m in (3, 4):
+                result = algorithm(X, m, SolverConfig(p=p))
+                for shift in (0.0, 0.02, 0.3):
+                    reps = result.state.representatives.copy()
+                    reps[0] += shift
+                    state = ModelState(reps, result.state.gammas, result.state.lam, result.state.p)
+                    cases.append((
+                        (p, algorithm.__name__, m, shift),
+                        check_fixed_point(X, state, result.membership, settings),
+                        dense_check_fixed_point(X, state, result.membership, settings),
+                    ))
+    return cases
+
+
+class TestDenseEquivalence:
+    def test_reports_equal_dense_monitor(self, monitor_grid):
+        for case, report, dense in monitor_grid:
+            for name in GRID_FIELDS:
+                np.testing.assert_array_equal(getattr(report, name), dense[name], err_msg=f"{case} {name}")
+
+    def test_grid_covers_failing_verdicts(self, monitor_grid):
+        for name in ("grad_ok", "hessian_ok", "valley_ok", "geometric_ok"):
+            assert {getattr(report, name) for _, report, _ in monitor_grid} == {True, False}, name
+
+    def test_pd_margin_sign_agrees_with_verdict(self, monitor_grid):
+        for case, report, _ in monitor_grid:
+            assert len(report.per_cluster_pd_margin) == len(report.per_cluster_hessian_ok)
+            for margin, ok in zip(report.per_cluster_pd_margin, report.per_cluster_hessian_ok):
+                assert (margin > 0) == ok, case
 
 
 class TestWeightedCauchySchwarz:
