@@ -13,20 +13,17 @@ from .core import (
     DataSet,
     MembershipMatrix,
     ModelState,
-    PointClusterTerm,
     cluster_costs,
     point_term_cost,
     squared_distances,
     total_cost,
 )
 from .driver import (
-    ActiveSet,
     ActiveSetEmptyError,
     DedupResult,
     IterationTrace,
     RunResult,
     SolverConfig,
-    StepMetrics,
     deduplicate,
     run,
     run_pcm2,
@@ -42,6 +39,7 @@ from .initialization import (
     compute_lambda,
     compute_mu,
     default_K,
+    fcm_start,
     initialize,
     radius_bound,
     run_fcm,
@@ -74,7 +72,6 @@ __all__ = [
     "DataSet",
     "ModelState",
     "MembershipMatrix",
-    "PointClusterTerm",
     "point_term_cost",
     "total_cost",
     "cluster_costs",
@@ -92,6 +89,7 @@ __all__ = [
     "FcmConfig",
     "InitReport",
     "run_fcm",
+    "fcm_start",
     "compute_gammas",
     "compute_lambda",
     "compute_mu",
@@ -100,13 +98,11 @@ __all__ = [
     "default_K",
     "validate_K",
     "initialize",
-    "ActiveSet",
     "ActiveSetEmptyError",
     "DedupResult",
     "IterationTrace",
     "RunResult",
     "SolverConfig",
-    "StepMetrics",
     "update_theta",
     "spcm_step",
     "run",

@@ -8,6 +8,11 @@ generate        synthesise Gaussian blobs plus uniform background noise,
                 with a ground-truth labels file
 validate-params initialise on a dataset and print every K bound check
 
+Each ``run`` option is listed once, in ``_RUN_OPTIONS``.  That table makes
+the flags and parses the config-file keys (flags win); the solver settings
+among them go straight into a :class:`~spcm.driver.SolverConfig`, which
+supplies their defaults and rejects bad values.
+
 Exit codes: 0 success (including warnings), 2 configuration error,
 3 runtime violation, 4 I/O failure.  All numeric output uses shortest
 round-trip decimal formatting, so identical config and seed reproduce
@@ -20,35 +25,25 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .core import DataSet
 from .driver import ActiveSetEmptyError, RunResult, SolverConfig, run, run_pcm2
-from .initialization import (
-    DegenerateDataError,
-    FcmConfig,
-    InitReport,
-    compute_gammas,
-    compute_mu,
-    radius_bound,
-    run_fcm,
-    validate_K,
-)
+from .initialization import DegenerateDataError, FcmConfig, InitReport, fcm_start, initialize
 from .monitor import FixedPointReport, check_fixed_point
 
 __all__ = [
     "ConfigError",
     "InputError",
-    "RunConfig",
     "BlobSpec",
     "ingest_csv",
     "emit_csv",
     "generate_blobs",
     "default_centers",
-    "run_command",
     "main",
 ]
 
@@ -66,56 +61,6 @@ class ConfigError(ValueError):
 
 class InputError(ValueError):
     """Input file missing, malformed, or empty."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one `run` invocation needs."""
-
-    input: str
-    out_dir: str
-    algorithm: str = "spcm"
-    clusters: int = 2
-    p: float = 0.5
-    K: float | None = None
-    theta_tol: float = 1e-6
-    max_iters: int = 500
-    bisection_iters: int = 30
-    dedup: str = "auto"  # "auto" or a decimal distance
-    seed: int = 0
-    trace: bool = False
-    plot_data: bool = False
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.algorithm not in _ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}; choose one of {_ALGORITHMS}")
-    if cfg.clusters < 1:
-        raise ConfigError(f"clusters must be >= 1, got {cfg.clusters}")
-    if not 0.0 < cfg.p < 1.0:
-        raise ConfigError(f"p must lie strictly inside (0, 1), got {cfg.p}")
-    if cfg.K is not None:
-        if not cfg.K > 0:
-            raise ConfigError(f"K must be positive, got {cfg.K}")
-        bound = radius_bound(cfg.p)
-        if cfg.K >= bound:
-            raise ConfigError(
-                f"K = {cfg.K} violates the radius-positivity bound "
-                f"K < p*e^(2*(1-p)) = {bound!r}: every influence radius would be nonpositive"
-            )
-    if not cfg.theta_tol > 0:
-        raise ConfigError(f"theta-tol must be positive, got {cfg.theta_tol}")
-    if cfg.max_iters < 1:
-        raise ConfigError(f"max-iters must be >= 1, got {cfg.max_iters}")
-    if cfg.bisection_iters < 1:
-        raise ConfigError(f"bisection-iters must be >= 1, got {cfg.bisection_iters}")
-    if cfg.dedup != "auto":
-        try:
-            value = float(cfg.dedup)
-        except ValueError as exc:
-            raise ConfigError(f"dedup must be 'auto' or a number, got {cfg.dedup!r}") from exc
-        if value < 0:
-            raise ConfigError(f"dedup threshold must be nonnegative, got {value}")
 
 
 def _fmt(x) -> str:
@@ -184,6 +129,8 @@ def emit_csv(path: str | Path, array: np.ndarray, header: list[str] | None = Non
 def default_centers(n_blobs: int) -> np.ndarray:
     """Vertices of a regular polygon with unit side length (a unit segment
     for two blobs, a unit-side triangle for three, ...)."""
+    if n_blobs < 1:
+        raise ValueError(f"need at least one blob, got {n_blobs}")
     if n_blobs == 1:
         return np.zeros((1, 2))
     circumradius = 1.0 / (2.0 * math.sin(math.pi / n_blobs))
@@ -271,17 +218,19 @@ def _fixed_point_section(fp: FixedPointReport) -> list[str]:
     ]
 
 
-def _summary_text(cfg: RunConfig, X: DataSet, result: RunResult, fp: FixedPointReport) -> str:
+def _summary_text(
+    algorithm: str, m: int, config: SolverConfig, X: DataSet, result: RunResult, fp: FixedPointReport
+) -> str:
     report = result.init_report
     lines = [
-        f"algorithm: {cfg.algorithm}",
+        f"algorithm: {algorithm}",
         f"points: {X.n_points}",
         f"dimensions: {X.n_dims}",
-        f"clusters-requested: {cfg.clusters}",
+        f"clusters-requested: {m}",
         f"clusters-retained: {len(result.dedup.kept)}",
         f"termination: {result.termination}",
         f"iterations: {result.n_iterations}",
-        f"seed: {cfg.seed}",
+        f"seed: {config.fcm.seed}",
         f"p: {_fmt(report.p)}",
         f"K: {_fmt(report.K)}",
         f"lambda: {_fmt(report.lam)}",
@@ -340,17 +289,15 @@ def _write_plot_data(out_dir: Path, result: RunResult) -> None:
                 fh.write(f"{rec.t},{j},{coords}\n")
 
 
-def _run_fcm_only(cfg: RunConfig, X: DataSet, out_dir: Path) -> int:
-    fcm = FcmConfig(seed=cfg.seed)
-    theta, u = run_fcm(X, cfg.clusters, fcm)
-    gammas = compute_gammas(X, theta, u)
+def _run_fcm_only(X: DataSet, m: int, config: SolverConfig, out_dir: Path) -> int:
+    theta, u, gammas, _ = fcm_start(X, m, config.fcm)
     emit_csv(out_dir / "memberships.csv", u)
     lines = [
         "algorithm: fcm",
         f"points: {X.n_points}",
         f"dimensions: {X.n_dims}",
-        f"clusters-requested: {cfg.clusters}",
-        f"seed: {cfg.seed}",
+        f"clusters-requested: {m}",
+        f"seed: {config.fcm.seed}",
         f"gamma: {_vector(gammas)}",
         "theta:",
     ]
@@ -360,48 +307,36 @@ def _run_fcm_only(cfg: RunConfig, X: DataSet, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def run_command(cfg: RunConfig) -> int:
-    """Execute one configured run and write its artifacts.
+def _switch(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes")
 
-    Returns the process exit code; error paths print to stderr.
-    """
-    _validate_config(cfg)
-    X = ingest_csv(cfg.input)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.algorithm == "fcm":
-        return _run_fcm_only(cfg, X, out_dir)
+def _dedup(raw: str) -> float | None:
+    return None if raw == "auto" else float(raw)
 
-    dedup_threshold = None if cfg.dedup == "auto" else float(cfg.dedup)
-    solver = SolverConfig(
-        p=cfg.p,
-        K=cfg.K,
-        theta_tol=cfg.theta_tol,
-        max_iters=cfg.max_iters,
-        bisection_iters=cfg.bisection_iters,
-        dedup_threshold=dedup_threshold,
-        fcm=FcmConfig(seed=cfg.seed),
-    )
-    if cfg.algorithm == "spcm":
-        result = run(X, cfg.clusters, solver)
-    else:
-        result = run_pcm2(X, cfg.clusters, solver)
 
-    fp = check_fixed_point(X, result.state, result.membership)
-    emit_csv(out_dir / "memberships.csv", result.dedup.membership)
-    (out_dir / "summary.txt").write_text(_summary_text(cfg, X, result, fp))
-    if cfg.trace:
-        _write_trace(out_dir / "trace.csv", result)
-    if cfg.plot_data:
-        _write_plot_data(out_dir, result)
-    if result.termination == "iteration-cap":
-        print(
-            f"warning: iteration cap ({cfg.max_iters}) reached before the "
-            f"representative displacement dropped below {cfg.theta_tol}",
-            file=sys.stderr,
-        )
-    return EXIT_OK
+# Every run option: config key -> (parser, SolverConfig field, help).  Its
+# flag is the key with "_" written "-"; "seed" is the FCM block's field, and
+# None marks an option of the CLI alone.
+_RUN_OPTIONS: dict[str, tuple[Callable[[str], object], str | None, str | None]] = {
+    "input": (str, None, "input CSV path"),
+    "out_dir": (str, None, "output directory (default .)"),
+    "algorithm": (str, None, f"one of {', '.join(_ALGORITHMS)} (default spcm)"),
+    "clusters": (int, None, None),
+    "p": (float, "p", None),
+    "K": (float, "K", None),
+    "theta_tol": (float, "theta_tol", None),
+    "max_iters": (int, "max_iters", None),
+    "bisection_iters": (int, "bisection_iters", None),
+    "dedup": (_dedup, "dedup_threshold", "'auto' or a merge distance"),
+    "seed": (int, "seed", None),
+    "trace": (_switch, None, "write trace.csv"),
+    "plot_data": (_switch, None, "write cost/trajectory tables for external plotting"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -414,72 +349,89 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno + 1}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        entries[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _RUN_OPTIONS:
+            raise ConfigError(f"unknown config key {key!r}")
+        entries[key] = value.strip()
     return entries
 
 
-_CONFIG_PARSERS = {
-    "input": str,
-    "out_dir": str,
-    "algorithm": str,
-    "clusters": int,
-    "p": float,
-    "K": float,
-    "theta_tol": float,
-    "max_iters": int,
-    "bisection_iters": int,
-    "dedup": str,
-    "seed": int,
-    "trace": lambda s: s.lower() in ("1", "true", "yes"),
-    "plot_data": lambda s: s.lower() in ("1", "true", "yes"),
-}
+def _run_options(args: argparse.Namespace) -> dict:
+    """Parsed run options, flags over config-file keys (a switch flag can
+    only switch on), with the CLI's own checks applied."""
+    raw = _read_config_file(args.config) if args.config else {}
+    raw.update({key: getattr(args, key) for key in _RUN_OPTIONS if getattr(args, key) is not None})
+    options = {}
+    for key, text in raw.items():
+        try:
+            options[key] = _RUN_OPTIONS[key][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"{_flag(key)}: cannot parse {text!r}") from exc
+    for key in ("input", "clusters"):
+        if key not in options:
+            raise ConfigError(f"{_flag(key)} is required (as a flag or in the config file)")
+    algorithm = options.setdefault("algorithm", "spcm")
+    if algorithm not in _ALGORITHMS:
+        raise ConfigError(f"--algorithm: unknown algorithm {algorithm!r}; choose one of {_ALGORITHMS}")
+    if options["clusters"] < 1:
+        raise ConfigError(f"--clusters must be >= 1, got {options['clusters']}")
+    return options
 
 
-def _merge_run_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        entries = _read_config_file(args.config)
-        for key, raw in entries.items():
-            if key not in _CONFIG_PARSERS:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_PARSERS[key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
-    # Flags win over the config file; store_true flags can only switch on.
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None and flag_value is not False:
-            values[f.name] = flag_value
-    if "input" not in values:
-        raise ConfigError("an input CSV is required (--input or config file)")
-    if "clusters" not in values:
-        raise ConfigError("a cluster count is required (--clusters or config file)")
-    values.setdefault("out_dir", ".")
-    return RunConfig(**values)
+def _solver_config(options: dict) -> SolverConfig:
+    """The SolverConfig of the given options; a rejected value becomes a
+    ConfigError that names its flag."""
+    settings = {field: options[key] for key, (_, field, _) in _RUN_OPTIONS.items() if field and key in options}
+    try:
+        fcm = FcmConfig(seed=settings.pop("seed")) if "seed" in settings else FcmConfig()
+        return SolverConfig(fcm=fcm, **settings)
+    except ValueError as exc:
+        # SolverConfig's messages start with the name of the field they reject
+        name = str(exc).split(" ", 1)[0]
+        flag = next((_flag(key) for key, (_, field, _) in _RUN_OPTIONS.items() if field == name), None)
+        raise ConfigError(f"{flag}: {exc}" if flag else str(exc)) from exc
+
+
+def run_command(args: argparse.Namespace) -> int:
+    """Execute one configured run and write its artifacts.
+
+    Returns the process exit code; error paths print to stderr.
+    """
+    options = _run_options(args)
+    config = _solver_config(options)
+    algorithm, m = options["algorithm"], options["clusters"]
+    X = ingest_csv(options["input"])
+    out_dir = Path(options.get("out_dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    if algorithm == "fcm":
+        return _run_fcm_only(X, m, config, out_dir)
+    if algorithm == "spcm":
+        result = run(X, m, config)
+    else:
+        result = run_pcm2(X, m, config)
+
+    fp = check_fixed_point(X, result.state, result.membership)
+    emit_csv(out_dir / "memberships.csv", result.dedup.membership)
+    (out_dir / "summary.txt").write_text(_summary_text(algorithm, m, config, X, result, fp))
+    if options.get("trace"):
+        _write_trace(out_dir / "trace.csv", result)
+    if options.get("plot_data"):
+        _write_plot_data(out_dir, result)
+    if result.termination == "iteration-cap":
+        print(
+            f"warning: iteration cap ({config.max_iters}) reached before the "
+            f"representative displacement dropped below {config.theta_tol}",
+            file=sys.stderr,
+        )
+    return EXIT_OK
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--input", help="input CSV path")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-    parser.add_argument("--algorithm", choices=_ALGORITHMS, default=None)
-    parser.add_argument("--clusters", type=int, default=None)
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--K", type=float, default=None)
-    parser.add_argument("--theta-tol", dest="theta_tol", type=float, default=None)
-    parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    parser.add_argument("--bisection-iters", dest="bisection_iters", type=int, default=None)
-    parser.add_argument("--dedup", default=None, help="'auto' or a merge distance")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trace", action="store_true", help="write trace.csv")
-    parser.add_argument("--plot-data", dest="plot_data", action="store_true",
-                        help="write cost/trajectory tables for external plotting")
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _merge_run_config(args)
-    return run_command(cfg)
+    for key, (parse, _, help_text) in _RUN_OPTIONS.items():
+        switch = {"action": "store_const", "const": "true"} if parse is _switch else {}
+        parser.add_argument(_flag(key), dest=key, help=help_text, **switch)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -514,24 +466,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    given = {key: getattr(args, key) for key in ("p", "K", "seed")}
+    config = _solver_config({key: value for key, value in given.items() if value is not None})
     X = ingest_csv(args.input)
-    fcm = FcmConfig(seed=args.seed)
-    theta0, u_fcm = run_fcm(X, args.clusters, fcm)
-    gammas = compute_gammas(X, theta0, u_fcm)
-    mu = compute_mu(X, theta0, gammas)
-    K = args.K
-    if K is None:
-        from .initialization import default_K
-
-        K = default_K(args.p, float(mu.max()))
-    if K >= radius_bound(args.p):
-        raise ConfigError(
-            f"K = {K} violates the radius-positivity bound "
-            f"K < p*e^(2*(1-p)) = {radius_bound(args.p)!r}"
-        )
-    report = validate_K(K, gammas, args.p, mu, theta0=theta0)
-    lines = [f"clusters: {args.clusters}", f"p: {_fmt(args.p)}", f"K: {_fmt(K)}",
-             f"lambda: {_fmt(report.lam)}", f"gamma: {_vector(gammas)}"]
+    report = initialize(X, args.clusters, p=config.p, K=config.K, fcm=config.fcm)
+    lines = [f"clusters: {args.clusters}", f"p: {_fmt(report.p)}", f"K: {_fmt(report.K)}",
+             f"lambda: {_fmt(report.lam)}", f"gamma: {_vector(report.gammas)}"]
     lines.extend(_bounds_section(report))
     if report.warnings:
         lines.append("warnings:")
@@ -548,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="cluster a CSV dataset")
     _add_run_flags(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=run_command)
 
     p_gen = sub.add_parser("generate", help="generate a synthetic blob benchmark")
     p_gen.add_argument("--blobs", type=int, default=3)
@@ -563,9 +503,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate-params", help="check K bounds on a dataset")
     p_val.add_argument("--input", required=True)
     p_val.add_argument("--clusters", type=int, required=True)
-    p_val.add_argument("--p", type=float, default=0.5)
-    p_val.add_argument("--K", type=float, default=None)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--p", type=float)
+    p_val.add_argument("--K", type=float)
+    p_val.add_argument("--seed", type=int)
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

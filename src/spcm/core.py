@@ -22,7 +22,6 @@ __all__ = [
     "DataSet",
     "ModelState",
     "MembershipMatrix",
-    "PointClusterTerm",
     "point_term_cost",
     "total_cost",
     "cluster_costs",
@@ -165,23 +164,6 @@ class MembershipMatrix:
     @property
     def n_clusters(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class PointClusterTerm:
-    """A single (squared distance, membership) pair of the cost decomposition."""
-
-    d: float
-    u: float
-
-    def __post_init__(self):
-        if not self.d >= 0:
-            raise ValueError(f"squared distance must be nonnegative, got {self.d}")
-        if not 0.0 <= self.u <= 1.0:
-            raise ValueError(f"membership must lie in [0, 1], got {self.u}")
-
-    def cost(self, gamma: float, lam: float, p: float) -> float:
-        return point_term_cost(self.d, self.u, gamma, lam, p)
 
 
 def point_term_cost(d: float, u: float, gamma: float, lam: float, p: float) -> float:

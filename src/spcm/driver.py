@@ -1,13 +1,19 @@
 """Main alternating-minimisation loop.
 
-Each iteration performs the two half-steps in a fixed order: all memberships
-are recomputed from the current representatives, then every representative is
-moved to the membership-weighted mean of its points.  Both half-steps lower
-the cost (strictly, away from a fixed point), which the per-iteration trace
-records so the descent chain can be audited after the fact.  The loop stops
-when the largest per-cluster representative displacement (max norm) drops
-below the configured threshold, or at the iteration cap; afterwards
-representatives that landed on the same spot are merged.
+Each iteration (:func:`spcm_step`) performs the two half-steps in a fixed
+order: all memberships are recomputed from the current representatives, then
+every representative is moved to the membership-weighted mean of its points.
+Both half-steps lower the cost (strictly, away from a fixed point); each
+iteration returns its :class:`IterationTrace` record so the descent chain can
+be audited after the fact.  The loop stops when the largest per-cluster
+representative displacement (max norm) drops below the configured threshold,
+or at the iteration cap; afterwards representatives that landed on the same
+spot are merged.
+
+:func:`run` starts from :func:`~spcm.initialization.initialize`;
+:func:`run_pcm2` is the same run from its K = 0 (lam = 0) start.
+:class:`SolverConfig` checks every setting, the radius-positivity bound on K
+included, before any work is done.
 
 A cluster losing its last active point cannot happen when K passed
 validation, so its occurrence aborts the run with diagnostics attached
@@ -16,19 +22,18 @@ rather than silently freezing the cluster.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import DataSet, MembershipMatrix, ModelState, squared_distances, total_cost
-from .initialization import FcmConfig, InitReport, compute_gammas, compute_mu, initialize, run_fcm
-from .membership import ClusterSolverContext, build_context, solve_membership_batch
+from .initialization import FcmConfig, InitReport, initialize, radius_bound
+from .membership import ClusterSolverContext, InvalidParameterError, build_context, solve_membership_batch
 
 __all__ = [
     "ActiveSetEmptyError",
     "SolverConfig",
-    "ActiveSet",
-    "StepMetrics",
     "IterationTrace",
     "DedupResult",
     "RunResult",
@@ -78,43 +83,23 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie strictly inside (0, 1), got {self.p}")
-        if self.K is not None and not self.K > 0:
-            raise ValueError(f"K must be positive, got {self.K}")
-        if not self.theta_tol > 0:
-            raise ValueError(f"theta_tol must be positive, got {self.theta_tol}")
+        if self.K is not None:
+            if not self.K > 0:
+                raise ValueError(f"K must be positive, got {self.K}")
+            bound = radius_bound(self.p)
+            if self.K >= bound:
+                raise InvalidParameterError(
+                    f"K = {self.K} violates the radius-positivity bound "
+                    f"K < p*e^(2*(1-p)) = {bound!r}: every influence radius would be nonpositive"
+                )
+        if not 0 < self.theta_tol < math.inf:
+            raise ValueError(f"theta_tol must be positive and finite, got {self.theta_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.bisection_iters < 1:
             raise ValueError(f"bisection_iters must be >= 1, got {self.bisection_iters}")
-        if self.dedup_threshold is not None and self.dedup_threshold < 0:
-            raise ValueError(f"dedup_threshold must be nonnegative, got {self.dedup_threshold}")
-
-
-@dataclass(frozen=True)
-class ActiveSet:
-    """Per-cluster indices of points with positive membership."""
-
-    indices: tuple[np.ndarray, ...]
-
-    @classmethod
-    def from_membership(cls, values: np.ndarray) -> "ActiveSet":
-        return cls(tuple(np.nonzero(values[:, j] > 0)[0] for j in range(values.shape[1])))
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([idx.size for idx in self.indices])
-
-
-@dataclass(frozen=True)
-class StepMetrics:
-    """Cost before, between, and after the two half-steps of one iteration."""
-
-    cost_before: float | None
-    cost_after_u: float
-    cost_after_theta: float
-    active_counts: np.ndarray
-    u_bounds_ok: bool
-    weight_sum_error: float
+        if self.dedup_threshold is not None and not 0 <= self.dedup_threshold < math.inf:
+            raise ValueError(f"dedup_threshold must be nonnegative and finite, got {self.dedup_threshold}")
 
 
 @dataclass(frozen=True)
@@ -197,16 +182,17 @@ def spcm_step(
     U_prev: MembershipMatrix | np.ndarray | None = None,
     contexts: tuple[ClusterSolverContext, ...] | None = None,
     cost_before: float | None = None,
-) -> tuple[MembershipMatrix, ModelState, StepMetrics]:
+) -> tuple[MembershipMatrix, ModelState, IterationTrace]:
     """One full iteration: memberships from the current representatives, then
     representatives from the new memberships.
 
     ``cost_before`` (or ``U_prev``, from which it is computed) supplies the
-    cost of the incoming (U, theta) pair so the metrics expose the full
-    descent chain cost_before > cost_after_u > cost_after_theta.
+    cost of the incoming (U, theta) pair so the record exposes the full
+    descent chain cost_before > cost_after_u > cost.  The record's ``t`` is
+    0; :func:`run` numbers the iterations.
     """
     if contexts is None:
-        contexts = _build_contexts(state, 30)
+        contexts = _build_contexts(state, SolverConfig.bisection_iters)
     d2 = squared_distances(X.points, state.representatives)
     U = np.column_stack([solve_membership_batch(d2[:, j], contexts[j]) for j in range(state.n_clusters)])
 
@@ -227,62 +213,47 @@ def spcm_step(
         new_reps[j] = update_theta(X, U[:, j])
         weight_err = max(weight_err, abs(float((U[:, j] / U[:, j].sum()).sum()) - 1.0))
     state_next = replace(state, representatives=new_reps)
-    cost_after_theta = total_cost(X, membership, state_next)
+    cost = total_cost(X, membership, state_next)
 
-    metrics = StepMetrics(
+    delta = np.abs(state_next.representatives - state.representatives).max(axis=1)
+    bbox_tol = 1e-9 * max(X.bbox_diagonal, 1.0)
+    in_bbox = bool((new_reps >= X.bbox_min - bbox_tol).all() and (new_reps <= X.bbox_max + bbox_tol).all())
+    u_step_decreased = None
+    if cost_before is not None:
+        u_step_decreased = cost_after_u <= cost_before + _DESCENT_SLACK * abs(cost_before)
+    record = IterationTrace(
+        t=0,
+        cost=cost,
         cost_before=cost_before,
         cost_after_u=cost_after_u,
-        cost_after_theta=cost_after_theta,
+        theta=new_reps,
+        delta_theta=delta,
+        max_delta_theta=float(delta.max()),
         active_counts=counts,
         u_bounds_ok=_bounds_ok(U, contexts),
         weight_sum_error=weight_err,
+        theta_in_bbox=in_bbox,
+        u_step_decreased=u_step_decreased,
+        theta_step_decreased=cost <= cost_after_u + _DESCENT_SLACK * abs(cost_after_u),
     )
-    return membership, state_next, metrics
+    return membership, state_next, record
 
 
-def _iterate(X: DataSet, state: ModelState, config: SolverConfig, report: InitReport) -> RunResult:
+def _iterate(X: DataSet, config: SolverConfig, report: InitReport) -> RunResult:
+    state = ModelState(report.theta0, report.gammas, report.lam, config.p)
     contexts = _build_contexts(state, config.bisection_iters)
-    bbox_tol = 1e-9 * max(X.bbox_diagonal, 1.0)
     trace: list[IterationTrace] = []
-    cost_prev: float | None = None
     membership: MembershipMatrix | None = None
     termination = "iteration-cap"
 
     for t in range(config.max_iters):
-        theta_old = state.representatives
+        cost_before = trace[-1].cost if trace else None
         try:
-            membership, state, metrics = spcm_step(X, state, contexts=contexts, cost_before=cost_prev)
+            membership, state, record = spcm_step(X, state, contexts=contexts, cost_before=cost_before)
         except ActiveSetEmptyError as err:
             raise ActiveSetEmptyError(err.cluster, iteration=t, trace=trace) from None
-
-        delta = np.abs(state.representatives - theta_old).max(axis=1)
-        slack_u = None
-        if cost_prev is not None:
-            slack_u = metrics.cost_after_u <= cost_prev + _DESCENT_SLACK * abs(cost_prev)
-        in_bbox = bool(
-            (state.representatives >= X.bbox_min - bbox_tol).all()
-            and (state.representatives <= X.bbox_max + bbox_tol).all()
-        )
-        trace.append(
-            IterationTrace(
-                t=t,
-                cost=metrics.cost_after_theta,
-                cost_before=cost_prev,
-                cost_after_u=metrics.cost_after_u,
-                theta=state.representatives.copy(),
-                delta_theta=delta,
-                max_delta_theta=float(delta.max()),
-                active_counts=metrics.active_counts,
-                u_bounds_ok=metrics.u_bounds_ok,
-                weight_sum_error=metrics.weight_sum_error,
-                theta_in_bbox=in_bbox,
-                u_step_decreased=slack_u,
-                theta_step_decreased=metrics.cost_after_theta
-                <= metrics.cost_after_u + _DESCENT_SLACK * abs(metrics.cost_after_u),
-            )
-        )
-        cost_prev = metrics.cost_after_theta
-        if float(delta.max()) < config.theta_tol:
+        trace.append(replace(record, t=t))
+        if record.max_delta_theta < config.theta_tol:
             termination = "converged"
             break
 
@@ -313,42 +284,18 @@ def run(X: DataSet, m: int, config: SolverConfig | None = None) -> RunResult:
     """
     if config is None:
         config = SolverConfig()
-    report = initialize(X, m, p=config.p, K=config.K, fcm=config.fcm)
-    state = ModelState(report.theta0, report.gammas, report.lam, config.p)
-    return _iterate(X, state, config, report)
+    return _iterate(X, config, initialize(X, m, p=config.p, K=config.K, fcm=config.fcm))
 
 
 def run_pcm2(X: DataSet, m: int, config: SolverConfig | None = None) -> RunResult:
-    """Non-sparse run: the identical loop with lam forced to 0.
+    """Non-sparse run: the identical loop from the K = 0 (lam = 0) start.
 
     Memberships take the closed form exp(-d/gamma), so every point stays
-    active in every cluster at every iteration.
+    active in every cluster at every iteration.  ``config.K`` is not used.
     """
     if config is None:
         config = SolverConfig()
-    theta0, u_fcm = run_fcm(X, m, config.fcm)
-    gammas = compute_gammas(X, theta0, u_fcm)
-    mu = compute_mu(X, theta0, gammas)
-    # lam = 0: radii are infinite and every K bound is vacuous.
-    report = InitReport(
-        gammas=gammas,
-        lam=0.0,
-        K=0.0,
-        p=config.p,
-        mu=mu,
-        mu_max=float(mu.max()),
-        radius_bound=float("inf"),
-        activation_bound=float("inf"),
-        radius_bound_ok=True,
-        activation_bound_ok=True,
-        per_cluster_bounds_ok=True,
-        uniqueness_range=None,
-        K_in_uniqueness_range=None,
-        warnings=(),
-        theta0=theta0,
-    )
-    state = ModelState(theta0, gammas, 0.0, config.p)
-    return _iterate(X, state, config, report)
+    return _iterate(X, config, initialize(X, m, p=config.p, K=0.0, fcm=config.fcm))
 
 
 def deduplicate(

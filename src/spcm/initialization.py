@@ -22,7 +22,8 @@ keeps the solver well behaved:
       set admits at most one fixed point.
 
 Here mu_j = min_i d_ij / gamma_j is the scaled squared distance of the
-closest point to representative j, and mu_max = max_j mu_j.
+closest point to representative j, and mu_max = max_j mu_j.  K = 0 (so
+lam = 0) is the non-sparse PCM start, for which every bound is vacuous.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "FcmConfig",
     "InitReport",
     "run_fcm",
+    "fcm_start",
     "compute_gammas",
     "compute_lambda",
     "compute_mu",
@@ -65,10 +67,10 @@ class FcmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.fuzzifier > 1:
-            raise ValueError(f"fuzzifier must exceed 1, got {self.fuzzifier}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 1 < self.fuzzifier < math.inf:
+            raise ValueError(f"fuzzifier must be finite and exceed 1, got {self.fuzzifier}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -156,6 +158,16 @@ def compute_gammas(X: DataSet, theta0: np.ndarray, u_fcm: np.ndarray) -> np.ndar
             "representative); a positive gamma is required"
         )
     return gammas
+
+
+def fcm_start(
+    X: DataSet, m: int, fcm: FcmConfig | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """FCM fixed point and what the start derives from it:
+    (representatives, FCM memberships, gammas, mu)."""
+    theta0, u_fcm = run_fcm(X, m, fcm)
+    gammas = compute_gammas(X, theta0, u_fcm)
+    return theta0, u_fcm, gammas, compute_mu(X, theta0, gammas)
 
 
 def compute_lambda(gammas: np.ndarray, K: float, p: float) -> float:
@@ -299,10 +311,30 @@ def initialize(
     K: float | None = None,
     fcm: FcmConfig | None = None,
 ) -> InitReport:
-    """Full initialization: FCM representatives, gammas, lam, and bound checks."""
-    theta0, u_fcm = run_fcm(X, m, fcm)
-    gammas = compute_gammas(X, theta0, u_fcm)
-    mu = compute_mu(X, theta0, gammas)
+    """Full initialization: FCM representatives, gammas, lam, and bound checks.
+
+    ``K = 0`` starts the non-sparse run: lam = 0, so every radius and K bound
+    is infinite and nothing is checked.
+    """
+    theta0, _, gammas, mu = fcm_start(X, m, fcm)
+    if K == 0.0:
+        return InitReport(
+            gammas=gammas,
+            lam=0.0,
+            K=0.0,
+            p=p,
+            mu=mu,
+            mu_max=float(mu.max()),
+            radius_bound=math.inf,
+            activation_bound=math.inf,
+            radius_bound_ok=True,
+            activation_bound_ok=True,
+            per_cluster_bounds_ok=True,
+            uniqueness_range=None,
+            K_in_uniqueness_range=None,
+            warnings=(),
+            theta0=theta0,
+        )
     if K is None:
         K = default_K(p, float(mu.max()))
     return validate_K(K, gammas, p, mu, theta0=theta0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import spcm.cli as cli
 from spcm.cli import (
     BlobSpec,
     default_centers,
@@ -11,6 +12,8 @@ from spcm.cli import (
     ingest_csv,
     main,
 )
+from spcm.driver import SolverConfig
+from spcm.initialization import FcmConfig
 
 
 def write(path, text):
@@ -86,6 +89,8 @@ class TestGenerateBlobs:
             BlobSpec(centers=default_centers(2), sigma=0.0)
         with pytest.raises(ValueError):
             BlobSpec(centers=default_centers(2), noise_fraction=1.0)
+        with pytest.raises(ValueError, match="at least one blob"):
+            default_centers(0)
 
 
 @pytest.fixture()
@@ -108,6 +113,11 @@ class TestGenerateCommand:
         labels = [int(v) for v in labels_path.read_text().split()]
         assert len(labels) == 165 and labels.count(-1) == 15
 
+    def test_zero_blobs_is_a_config_error(self, tmp_path, capsys):
+        assert main(["generate", "--blobs", "0", "--out", str(tmp_path / "d.csv")]) == 2
+        assert "at least one blob" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -115,7 +125,110 @@ class TestGenerateCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+def flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def run_argv(options: dict[str, str], key: str, source: str, cfg_path) -> list[str]:
+    """``run`` arguments giving option ``key`` from ``source`` ("flag" or
+    "config") and every other option as a flag; "true" is a bare switch."""
+    argv = ["run"]
+    for k, v in options.items():
+        if k != key or source == "flag":
+            argv += [flag(k)] + ([] if v == "true" else [v])
+    if source == "config":
+        cfg_path.write_text(f"{key} = {options[key]}\n")
+        argv += ["--config", str(cfg_path)]
+    return argv
+
+
+# One non-default value per run option, as the command line spells it.
+RUN_OPTION_VALUES = [
+    ("input", None),
+    ("out_dir", None),
+    ("algorithm", "pcm2"),
+    ("clusters", "4"),
+    ("p", "0.4"),
+    ("K", "0.7"),
+    ("theta_tol", "1e-8"),
+    ("max_iters", "3"),
+    ("bisection_iters", "40"),
+    ("dedup", "0.05"),
+    ("seed", "3"),
+    ("trace", "true"),
+    ("plot_data", "true"),
+]
+
+# Values each run option must reject, non-finite ones aside.
+RUN_OPTION_INVALID = [
+    ("algorithm", "kmeans"),
+    ("clusters", "0"),
+    ("clusters", "three"),
+    ("p", "1.5"),
+    ("K", "-1"),
+    ("K", "2.0"),  # past the radius-positivity bound at p = 0.5
+    ("max_iters", "0"),
+    ("bisection_iters", "0"),
+    ("dedup", "far"),
+    ("dedup", "-1"),
+    ("seed", "x"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, field, key",
+    [
+        (SolverConfig, "theta_tol", "theta_tol"),
+        (SolverConfig, "dedup_threshold", "dedup"),
+        (FcmConfig, "tol", None),  # no CLI option sets the FCM tolerances
+        (FcmConfig, "fuzzifier", None),
+    ],
+    ids=["theta_tol", "dedup_threshold", "fcm.tol", "fcm.fuzzifier"],
+)
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_settings_rejected(config, field, key, value, dataset_csv, tmp_path, capsys):
+    with pytest.raises(ValueError, match="finite"):
+        config(**{field: float(value)})
+    if key is None:
+        return
+    options = {"input": str(dataset_csv), "out_dir": str(tmp_path / "o"), "clusters": "3", key: value}
+    for source in ("flag", "config"):
+        assert main(run_argv(options, key, source, tmp_path / "run.cfg")) == 2
+        assert flag(key) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestRunCommand:
+    @pytest.mark.parametrize("key, value", RUN_OPTION_VALUES)
+    def test_flag_and_config_key_agree(self, key, value, dataset_csv, tmp_path, monkeypatch):
+        configs = []
+        for name in ("run", "run_pcm2"):
+            solve = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda X, m, config, solve=solve: configs.append(config) or solve(X, m, config)
+            )
+        outs = []
+        for source in ("flag", "config"):
+            out = tmp_path / source
+            options = {"input": str(dataset_csv), "out_dir": str(out), "clusters": "3"}
+            if value is not None:
+                options[key] = value
+            assert main(run_argv(options, key, source, tmp_path / "run.cfg")) == 0
+            outs.append(out)
+        assert len(configs) == 2 and configs[0] == configs[1]
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert "summary.txt" in names and names == sorted(f.name for f in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value", RUN_OPTION_INVALID)
+    def test_invalid_value_names_the_option(self, key, value, source, dataset_csv, tmp_path, capsys):
+        options = {"input": str(dataset_csv), "out_dir": str(tmp_path / "o"), "clusters": "3", key: value}
+        assert main(run_argv(options, key, source, tmp_path / "run.cfg")) == 2
+        assert flag(key) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_end_to_end_spcm(self, dataset_csv, tmp_path):
         out = tmp_path / "run1"
         code = main(

@@ -6,7 +6,6 @@ from spcm.core import (
     DataSet,
     MembershipMatrix,
     ModelState,
-    PointClusterTerm,
     cluster_costs,
     point_term_cost,
     squared_distances,
@@ -145,13 +144,6 @@ class TestDomainTypes:
             MembershipMatrix([[1.2]])
         with pytest.raises(ValueError):
             MembershipMatrix([[-0.1]])
-
-    def test_point_cluster_term(self):
-        term = PointClusterTerm(d=1.0, u=0.5)
-        assert term.cost(1.0, 0.8, 0.5) == point_term_cost(1.0, 0.5, 1.0, 0.8, 0.5)
-        assert PointClusterTerm(d=4.0, u=0.0).cost(1.0, 0.8, 0.5) == 0.0
-        with pytest.raises(ValueError):
-            PointClusterTerm(d=-1.0, u=0.5)
 
     def test_squared_distances(self, rng):
         pts = rng.normal(size=(7, 3))

@@ -5,7 +5,6 @@ import pytest
 
 from spcm.core import DataSet, MembershipMatrix, ModelState, squared_distances, total_cost
 from spcm.driver import (
-    ActiveSet,
     ActiveSetEmptyError,
     SolverConfig,
     deduplicate,
@@ -15,7 +14,7 @@ from spcm.driver import (
     update_theta,
 )
 from spcm.initialization import DegenerateDataError, compute_lambda
-from spcm.membership import pcm2_membership, radius_squared
+from spcm.membership import InvalidParameterError, pcm2_membership, radius_squared
 
 from conftest import make_noise_benchmark
 
@@ -56,7 +55,7 @@ class TestUpdateTheta:
 class TestSpcmStep:
     def test_symmetric_pair_fixed_point(self):
         X, state = symmetric_pair_state()
-        U, state_next, metrics = spcm_step(X, state)
+        U, state_next, _ = spcm_step(X, state)
         assert U.values[0, 0] == U.values[1, 0] > 0
         np.testing.assert_allclose(state_next.representatives, [[0.0, 0.0]], atol=1e-15)
 
@@ -73,16 +72,16 @@ class TestSpcmStep:
         state0 = ModelState(
             result.init_report.theta0, result.init_report.gammas, result.init_report.lam, 0.5
         )
-        U, state1, metrics = spcm_step(X, state0)
-        assert metrics.cost_after_u == total_cost(X, U, state0)
-        assert metrics.cost_after_theta == total_cost(X, U, state1)
-        assert metrics.cost_after_theta < metrics.cost_after_u
+        U, state1, record = spcm_step(X, state0)
+        assert record.cost_after_u == total_cost(X, U, state0)
+        assert record.cost == total_cost(X, U, state1)
+        assert record.cost < record.cost_after_u
 
     def test_cost_before_computed_from_previous_membership(self):
         X, state = symmetric_pair_state()
         U0 = MembershipMatrix(np.array([[0.5], [0.5]]))
-        _, _, metrics = spcm_step(X, state, U_prev=U0)
-        assert metrics.cost_before == total_cost(X, U0, state)
+        _, _, record = spcm_step(X, state, U_prev=U0)
+        assert record.cost_before == total_cost(X, U0, state)
 
     def test_active_set_emptied_raises(self):
         # radius shrunk to ~0 by pushing K against its upper bound
@@ -165,6 +164,12 @@ class TestRun:
         with pytest.raises(DegenerateDataError):
             run(X, 1, SolverConfig(K=0.9))
 
+    def test_radius_bound_rejected_by_the_config(self):
+        # rejected before any FCM work, not later inside build_context
+        with pytest.raises(InvalidParameterError, match="radius-positivity") as err:
+            SolverConfig(K=1.5)
+        assert "K = 1.5" in str(err.value)
+
     def test_active_set_violation_carries_trace(self):
         X, _ = make_noise_benchmark(seed=0)
         with pytest.raises(ActiveSetEmptyError) as err:
@@ -177,6 +182,7 @@ class TestRunPcm2:
     def test_all_points_active_every_iteration(self):
         X, _ = make_noise_benchmark(seed=3)
         result = run_pcm2(X, 3, SolverConfig(theta_tol=1e-7))
+        assert (result.init_report.K, result.state.lam) == (0.0, 0.0)
         assert (result.membership.values > 0).all()
         for rec in result.trace:
             assert (rec.active_counts == X.n_points).all()
@@ -225,11 +231,3 @@ class TestDeduplicate:
         assert result.mapping == {0: 0, 1: 1, 2: 2}
         np.testing.assert_array_equal(result.membership, U)
 
-
-class TestActiveSet:
-    def test_from_membership(self):
-        U = np.array([[0.5, 0.0], [0.0, 0.0], [0.1, 0.9]])
-        active = ActiveSet.from_membership(U)
-        np.testing.assert_array_equal(active.indices[0], [0, 2])
-        np.testing.assert_array_equal(active.indices[1], [2])
-        np.testing.assert_array_equal(active.counts, [2, 1])

@@ -212,6 +212,17 @@ class TestInitialize:
             report.mu, compute_mu(X, report.theta0, report.gammas), rtol=1e-15
         )
 
+    def test_K_zero_is_the_nonsparse_start(self, blob_benchmark):
+        X, _ = blob_benchmark
+        sparse = initialize(X, 3, K=0.9)
+        report = initialize(X, 3, K=0.0)
+        assert (report.K, report.lam) == (0.0, 0.0)
+        assert report.radius_bound == report.activation_bound == math.inf
+        assert report.uniqueness_range is None and report.warnings == ()
+        np.testing.assert_array_equal(report.theta0, sparse.theta0)
+        np.testing.assert_array_equal(report.gammas, sparse.gammas)
+        np.testing.assert_array_equal(report.mu, sparse.mu)
+
     def test_positive_radius_under_bound(self, rng):
         # wherever K stays below the radius bound, every cluster radius is positive
         for _ in range(2000):
