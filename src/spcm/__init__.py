@@ -1,9 +1,9 @@
 """Sparse possibilistic c-means clustering toolkit.
 
 Clusters are found by alternating two exact minimisation steps: a per-point
-membership solve (a two-branch update with a bisection root-finder, driving
-distant points' memberships exactly to zero) and a weighted-mean update of
-each cluster representative.  A convergence monitor checks every guarantee
+membership solve (a two-branch update whose root has a closed form through
+the Lambert W function, driving distant points' memberships exactly to
+zero) and a weighted-mean update of each cluster representative.  A convergence monitor checks every guarantee
 the iteration is supposed to deliver: strict per-iteration cost descent,
 bounded trajectories, gradient stationarity at termination, and positive
 definiteness of the cost's second-derivative matrix at the fixed point.
@@ -50,7 +50,6 @@ from .membership import (
     InvalidParameterError,
     build_context,
     f_value,
-    pcm2_membership,
     radius_squared,
     solve_membership,
     solve_membership_batch,
@@ -83,7 +82,6 @@ __all__ = [
     "solve_membership",
     "solve_membership_batch",
     "solve_membership_by_radius",
-    "pcm2_membership",
     "radius_squared",
     "DegenerateDataError",
     "FcmConfig",

@@ -327,7 +327,6 @@ _RUN_OPTIONS: dict[str, tuple[Callable[[str], object], str | None, str | None]] 
     "K": (float, "K", None),
     "theta_tol": (float, "theta_tol", None),
     "max_iters": (int, "max_iters", None),
-    "bisection_iters": (int, "bisection_iters", None),
     "dedup": (_dedup, "dedup_threshold", "'auto' or a merge distance"),
     "seed": (int, "seed", None),
     "trace": (_switch, None, "write trace.csv"),

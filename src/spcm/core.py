@@ -140,8 +140,8 @@ class MembershipMatrix:
     """N x m degrees of compatibility, each in [0, 1].
 
     Nonzero entries produced by the solver additionally lie inside the
-    attainable band [u_min_j, u_max_j] of their cluster (up to the bisection
-    accuracy); that band is a solver property and is checked there, not here.
+    attainable band [u_min_j, u_max_j] of their cluster (up to rounding);
+    that band is a solver property and is checked there, not here.
     """
 
     values: np.ndarray

@@ -76,7 +76,6 @@ class SolverConfig:
     K: float | None = None
     theta_tol: float = 1e-6
     max_iters: int = 500
-    bisection_iters: int = 30
     dedup_threshold: float | None = None  # None -> 1e-3 * bounding-box diagonal
     fcm: FcmConfig = field(default_factory=FcmConfig)
 
@@ -96,8 +95,6 @@ class SolverConfig:
             raise ValueError(f"theta_tol must be positive and finite, got {self.theta_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.bisection_iters < 1:
-            raise ValueError(f"bisection_iters must be >= 1, got {self.bisection_iters}")
         if self.dedup_threshold is not None and not 0 <= self.dedup_threshold < math.inf:
             raise ValueError(f"dedup_threshold must be nonnegative and finite, got {self.dedup_threshold}")
 
@@ -115,7 +112,6 @@ class IterationTrace:
     max_delta_theta: float
     active_counts: np.ndarray
     u_bounds_ok: bool
-    weight_sum_error: float
     theta_in_bbox: bool
     u_step_decreased: bool | None
     theta_step_decreased: bool
@@ -161,8 +157,8 @@ def update_theta(X: DataSet, u_col: np.ndarray) -> np.ndarray:
     return (u_col @ X.points) / total
 
 
-def _build_contexts(state: ModelState, bisection_iters: int) -> tuple[ClusterSolverContext, ...]:
-    return tuple(build_context(float(g), state.lam, state.p, bisection_iters) for g in state.gammas)
+def _build_contexts(state: ModelState) -> tuple[ClusterSolverContext, ...]:
+    return tuple(build_context(float(g), state.lam, state.p) for g in state.gammas)
 
 
 def _bounds_ok(U: np.ndarray, contexts: tuple[ClusterSolverContext, ...]) -> bool:
@@ -192,7 +188,7 @@ def spcm_step(
     0; :func:`run` numbers the iterations.
     """
     if contexts is None:
-        contexts = _build_contexts(state, SolverConfig.bisection_iters)
+        contexts = _build_contexts(state)
     d2 = squared_distances(X.points, state.representatives)
     U = np.column_stack([solve_membership_batch(d2[:, j], contexts[j]) for j in range(state.n_clusters)])
 
@@ -208,10 +204,8 @@ def spcm_step(
     cost_after_u = total_cost(X, membership, state)
 
     new_reps = np.empty_like(state.representatives)
-    weight_err = 0.0
     for j in range(state.n_clusters):
         new_reps[j] = update_theta(X, U[:, j])
-        weight_err = max(weight_err, abs(float((U[:, j] / U[:, j].sum()).sum()) - 1.0))
     state_next = replace(state, representatives=new_reps)
     cost = total_cost(X, membership, state_next)
 
@@ -231,7 +225,6 @@ def spcm_step(
         max_delta_theta=float(delta.max()),
         active_counts=counts,
         u_bounds_ok=_bounds_ok(U, contexts),
-        weight_sum_error=weight_err,
         theta_in_bbox=in_bbox,
         u_step_decreased=u_step_decreased,
         theta_step_decreased=cost <= cost_after_u + _DESCENT_SLACK * abs(cost_after_u),
@@ -241,7 +234,7 @@ def spcm_step(
 
 def _iterate(X: DataSet, config: SolverConfig, report: InitReport) -> RunResult:
     state = ModelState(report.theta0, report.gammas, report.lam, config.p)
-    contexts = _build_contexts(state, config.bisection_iters)
+    contexts = _build_contexts(state)
     trace: list[IterationTrace] = []
     membership: MembershipMatrix | None = None
     termination = "iteration-cap"

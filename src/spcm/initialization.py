@@ -73,6 +73,8 @@ class FcmConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 0 <= self.seed < math.inf:
+            raise ValueError(f"seed must be nonnegative and finite, got {self.seed}")
 
 
 def _seed_representatives(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:

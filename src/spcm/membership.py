@@ -9,10 +9,16 @@ the derivative of the per-term cost.  f has a unique minimum at
 
     u_hat = ((lam/gamma)*p*(1-p))**(1/(1-p))
 
-and at most two roots in (0, 1].  When f(u_hat) < 0 the larger root u2 is
-located by bisection on (u_hat, 1]; the membership is u2 if u2 is at least
-the threshold u_min = (lam*(1-p)/gamma)**(1/(1-p)) and 0 otherwise.  The
-threshold comparison is equivalent to a radius test d <= R^2 with
+and at most two roots in (0, 1].  With w = u**(p-1), f(u) = 0 reads
+(-a*w)*exp(-a*w) = z for a = (1-p)*lam*p/gamma and z = -a*exp((1-p)*d/gamma).
+When f(u_hat) < 0 the larger root takes the principal branch W0 of the
+Lambert W function, -a*w = W0(z); as ln(-W0(z)) = ln(-z) - W0(z), it is
+
+    u2 = exp(-d/gamma + W0(z)/(1-p)).
+
+The membership is u2 if u2 is at least the threshold
+u_min = (lam*(1-p)/gamma)**(1/(1-p)) and 0 otherwise.  The threshold
+comparison is equivalent to a radius test d <= R^2 with
 
     R^2 = gamma/(1-p) * (-ln(lam*(1-p)/gamma) - p),
 
@@ -37,14 +43,12 @@ __all__ = [
     "solve_membership",
     "solve_membership_batch",
     "solve_membership_by_radius",
-    "pcm2_membership",
     "radius_squared",
 ]
 
-# Bisection budget used for the one-off u_max root when building a context.
-# The per-point budget (default 30) bounds the hot path; the context is built
-# once per cluster, so the bracket is collapsed to float precision instead.
-_UMAX_BISECTION_ITERS = 80
+# Halley steps for W0; from the starting points in _lambert_w0 three reach
+# the float floor over the whole branch.
+_HALLEY_STEPS = 3
 
 
 class InvalidParameterError(ValueError):
@@ -76,7 +80,6 @@ class ClusterSolverContext:
     u_min: float
     u_max: float
     radius_sq: float
-    bisection_iters: int
     f_at_u_hat_d0: float
 
 
@@ -97,12 +100,38 @@ def f_value(u: float, d: float, ctx: ClusterSolverContext) -> float:
     return d + ctx.gamma * math.log(u) + ctx.lam * ctx.p * u ** (ctx.p - 1.0)
 
 
-def build_context(
-    gamma: float,
-    lam: float,
-    p: float,
-    bisection_iters: int = 30,
-) -> ClusterSolverContext:
+def _lambert_w0(z: np.ndarray) -> np.ndarray:
+    """Principal branch W0 of the Lambert W function on [-1/e, 0].
+
+    Halley iteration (Corless et al., "On the Lambert W function", Adv.
+    Comput. Math. 5, 1996), started from the branch-point series for
+    z < -0.25 and from z*(1-z) otherwise.  At the branch point z = -1/e
+    (q = 0) the start is W0 = -1 and every step is skipped, not divided by
+    zero; a z rounded past it is treated the same way.
+    """
+    q = np.sqrt(np.maximum(2.0 * (1.0 + math.e * z), 0.0))
+    w = np.where(z < -0.25, -1.0 + q * (1.0 - q * (1.0 / 3.0 - q * (11.0 / 72.0))), z * (1.0 - z))
+    for _ in range(_HALLEY_STEPS):
+        ew = np.exp(w)
+        residual = w * ew - z
+        num = 2.0 * (w + 1.0) * residual
+        den = 2.0 * (w + 1.0) ** 2 * ew - (w + 2.0) * residual
+        w = w - np.divide(num, den, out=np.zeros_like(w), where=den != 0.0)
+    return w
+
+
+def _largest_root(d: np.ndarray, gamma: float, lam: float, p: float) -> np.ndarray:
+    """Closed-form larger root u2 of f (module docstring) for each entry of d.
+
+    Needs lam > 0 and f(u_hat) <= 0, where z is at or above -1/e.
+    """
+    one_minus_p = 1.0 - p
+    # ln(-z), capped at -1 so z never passes the branch point -1/e
+    log_minus_z = np.minimum(math.log(one_minus_p * lam * p / gamma) + one_minus_p * d / gamma, -1.0)
+    return np.exp(_lambert_w0(-np.exp(log_minus_z)) / one_minus_p - d / gamma)
+
+
+def build_context(gamma: float, lam: float, p: float) -> ClusterSolverContext:
     """Derive all per-cluster solver quantities from (gamma, lam, p).
 
     Raises
@@ -118,8 +147,6 @@ def build_context(
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if bisection_iters < 1:
-        raise ValueError(f"bisection_iters must be >= 1, got {bisection_iters}")
 
     if lam == 0.0:
         return ClusterSolverContext(
@@ -130,7 +157,6 @@ def build_context(
             u_min=0.0,
             u_max=1.0,
             radius_sq=math.inf,
-            bisection_iters=int(bisection_iters),
             f_at_u_hat_d0=-math.inf,
         )
 
@@ -146,47 +172,16 @@ def build_context(
         )
     f0 = gamma * math.log(u_hat) + lam * p * u_hat ** (p - 1.0)
 
-    # u_max is the root of f at d = 0 on (u_hat, 1]; f(u_hat) = f0 < 0 there
-    # and f(1) = lam*p > 0, so the bracket always straddles the root.
-    lo, hi = u_hat, 1.0
-    for _ in range(_UMAX_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket collapsed to float resolution
-            break
-        if gamma * math.log(mid) + lam * p * mid ** (p - 1.0) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    u_max = 0.5 * (lo + hi)
-
     return ClusterSolverContext(
         gamma=float(gamma),
         lam=float(lam),
         p=float(p),
         u_hat=u_hat,
         u_min=u_min,
-        u_max=u_max,
+        u_max=float(_largest_root(np.zeros(1), gamma, lam, p)[0]),
         radius_sq=r_sq,
-        bisection_iters=int(bisection_iters),
         f_at_u_hat_d0=f0,
     )
-
-
-def _bisect_largest_root(d: np.ndarray, ctx: ClusterSolverContext) -> np.ndarray:
-    """Largest root of f on (u_hat, 1] for each entry of d.
-
-    Assumes f(u_hat) < 0 for every entry (caller filters); f is strictly
-    increasing on that interval so plain bisection is exact and safe.
-    """
-    lo = np.full_like(d, ctx.u_hat)
-    hi = np.ones_like(d)
-    gamma, lam_p, pm1 = ctx.gamma, ctx.lam * ctx.p, ctx.p - 1.0
-    for _ in range(ctx.bisection_iters):
-        mid = 0.5 * (lo + hi)
-        negative = d + gamma * np.log(mid) + lam_p * mid**pm1 < 0.0
-        lo = np.where(negative, mid, lo)
-        hi = np.where(negative, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def solve_membership_batch(d: np.ndarray, ctx: ClusterSolverContext) -> np.ndarray:
@@ -199,14 +194,10 @@ def solve_membership_batch(d: np.ndarray, ctx: ClusterSolverContext) -> np.ndarr
         raise ValueError("squared distances must be nonnegative")
     if ctx.lam == 0.0:
         return np.exp(-d / ctx.gamma)
-    # f(1) = d + lam*p must be positive or the bracket is invalid; with
-    # d >= 0 and lam > 0 this cannot happen, so treat it as internal corruption.
-    if d.size and float(d.min()) + ctx.lam * ctx.p <= 0.0:
-        raise RuntimeError("bisection bracket invalid at u = 1; solver state is inconsistent")
     out = np.zeros_like(d)
     has_roots = d + ctx.f_at_u_hat_d0 < 0.0
     if has_roots.any():
-        roots = _bisect_largest_root(d[has_roots], ctx)
+        roots = _largest_root(d[has_roots], ctx.gamma, ctx.lam, ctx.p)
         out[has_roots] = np.where(roots >= ctx.u_min, roots, 0.0)
     return out
 
@@ -234,18 +225,7 @@ def solve_membership_by_radius(d: float, ctx: ClusterSolverContext) -> float:
         return float(np.exp(-d / ctx.gamma))
     if d > ctx.radius_sq:
         return 0.0
-    return float(_bisect_largest_root(np.array([d], dtype=np.float64), ctx)[0])
+    root = float(_largest_root(np.array([d], dtype=np.float64), ctx.gamma, ctx.lam, ctx.p)[0])
+    # the root is u_min at d == R^2; rounding must not take it below the band
+    return max(root, ctx.u_min)
 
-
-def pcm2_membership(d, gamma: float):
-    """Closed-form membership exp(-d/gamma) of the non-sparse (lam = 0) regime.
-
-    Accepts a scalar or an array of squared distances.
-    """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    d = np.asarray(d, dtype=np.float64)
-    if (d < 0).any():
-        raise ValueError("squared distances must be nonnegative")
-    out = np.exp(-d / gamma)
-    return float(out) if out.ndim == 0 else out

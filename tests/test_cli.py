@@ -152,7 +152,6 @@ RUN_OPTION_VALUES = [
     ("K", "0.7"),
     ("theta_tol", "1e-8"),
     ("max_iters", "3"),
-    ("bisection_iters", "40"),
     ("dedup", "0.05"),
     ("seed", "3"),
     ("trace", "true"),
@@ -168,10 +167,10 @@ RUN_OPTION_INVALID = [
     ("K", "-1"),
     ("K", "2.0"),  # past the radius-positivity bound at p = 0.5
     ("max_iters", "0"),
-    ("bisection_iters", "0"),
     ("dedup", "far"),
     ("dedup", "-1"),
     ("seed", "x"),
+    ("seed", "-1"),
 ]
 
 
@@ -182,8 +181,9 @@ RUN_OPTION_INVALID = [
         (SolverConfig, "dedup_threshold", "dedup"),
         (FcmConfig, "tol", None),  # no CLI option sets the FCM tolerances
         (FcmConfig, "fuzzifier", None),
+        (FcmConfig, "seed", "seed"),
     ],
-    ids=["theta_tol", "dedup_threshold", "fcm.tol", "fcm.fuzzifier"],
+    ids=["theta_tol", "dedup_threshold", "fcm.tol", "fcm.fuzzifier", "fcm.seed"],
 )
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_settings_rejected(config, field, key, value, dataset_csv, tmp_path, capsys):
@@ -344,10 +344,12 @@ class TestRunCommand:
         assert "K: 0.9" in summary  # flag wins
         assert "seed: 2" in summary  # config survives
 
-    def test_unknown_config_key(self, dataset_csv, tmp_path):
+    def test_unknown_config_key(self, dataset_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("inputs = nope\n")
-        assert main(["run", "--config", str(cfg), "--clusters", "3"]) == 2
+        for line in ("inputs = nope", "bisection_iters = 30"):  # the second is a removed option
+            cfg.write_text(line + "\n")
+            assert main(["run", "--config", str(cfg), "--clusters", "3"]) == 2
+            assert "unknown config key" in capsys.readouterr().err
 
     def test_clusters_required(self, dataset_csv, tmp_path):
         assert main(["run", "--input", str(dataset_csv), "--out-dir", str(tmp_path)]) == 2

@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp
+from scipy.special import lambertw
 
 from spcm.initialization import compute_lambda, radius_bound
 from spcm.membership import (
     InvalidParameterError,
     build_context,
     f_value,
-    pcm2_membership,
     radius_squared,
     solve_membership,
     solve_membership_batch,
     solve_membership_by_radius,
 )
 
-from oracles import grid_largest_root
+from oracles import bisect_largest_root, grid_largest_root
 
 mp.dps = 50
 
@@ -184,18 +184,42 @@ class TestRadiusForm:
         assert max(agree_values) < 1e-8
 
 
+class TestClosedFormRoot:
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_accepted_roots_match_bisection_and_lambertw(self, p, rng):
+        for _ in range(20):
+            c = random_context(rng, p_lo=p, p_hi=p)
+            d = rng.uniform(0.0, 1.2 * c.radius_sq, size=50)
+            u = solve_membership_batch(d, c)
+            kept = u > 0
+            np.testing.assert_array_equal(kept, d <= c.radius_sq)
+            d, u = d[kept], u[kept]
+            np.testing.assert_allclose(u, bisect_largest_root(d, c.gamma, c.lam, p), rtol=1e-12, atol=0)
+            # scipy's W0, through the log form u2 = exp((ln(-W0) - ln a)/(p-1))
+            a = (1.0 - p) * c.lam * p / c.gamma
+            w = lambertw(-a * np.exp((1.0 - p) * d / c.gamma)).real
+            np.testing.assert_allclose(u, np.exp((np.log(-w) - math.log(a)) / (p - 1.0)), rtol=1e-12, atol=0)
+
+    def test_boundary_distances_raise_no_float_error(self, rng):
+        # d = 0, then d = R^2 and d = -f(u_hat; 0) (where z = -1/e) with their float neighbours
+        for p in np.linspace(0.05, 0.95, 19):
+            for _ in range(20):
+                with np.errstate(all="raise"):
+                    c = random_context(rng, p_lo=p, p_hi=p)
+                edges = np.array([c.radius_sq, -c.f_at_u_hat_d0])
+                d = np.concatenate([[0.0], edges, np.nextafter(edges, np.inf), np.nextafter(edges, 0.0)])
+                with np.errstate(all="raise"):
+                    batch = solve_membership_batch(d, c)
+                    by_radius = np.array([solve_membership_by_radius(float(x), c) for x in d])
+                for u in (batch, by_radius):
+                    nz = u[u > 0]
+                    assert (nz >= c.u_min).all() and (nz <= c.u_max * (1.0 + 1e-12)).all()
+                assert batch[0] == c.u_max and by_radius[1] > 0
+
+
 class TestPcm2Membership:
-    def test_closed_form_values(self):
-        assert pcm2_membership(0.0, 2.0) == 1.0
-        assert pcm2_membership(2.0, 2.0) == pytest.approx(math.exp(-1), rel=1e-15)
-        assert pcm2_membership(6.0, 2.0) == pytest.approx(math.exp(-3), rel=1e-15)
-
-    def test_array_input(self):
-        out = pcm2_membership(np.array([0.0, 1.0]), 1.0)
-        np.testing.assert_allclose(out, [1.0, math.exp(-1)], rtol=1e-15)
-
     def test_sparse_solver_approaches_closed_form(self):
-        # vanishing sparsity: the bisection root tracks exp(-d/gamma)
+        # vanishing sparsity: the root tracks exp(-d/gamma)
         gamma = 1.0
         c = build_context(gamma, 1e-12, 0.5)
         for d in np.linspace(0.0, 10.0 * gamma, 50):
