@@ -1,20 +1,19 @@
 """Sparse possibilistic c-means clustering toolkit.
 
 Clusters are found by alternating two exact minimisation steps: a per-point
-membership solve (a two-branch update whose root has a closed form through
-the Lambert W function, driving distant points' memberships exactly to
-zero) and a weighted-mean update of each cluster representative.  A convergence monitor checks every guarantee
-the iteration is supposed to deliver: strict per-iteration cost descent,
-bounded trajectories, gradient stationarity at termination, and positive
-definiteness of the cost's second-derivative matrix at the fixed point.
+membership solve (inside each cluster's influence ball the larger root of
+the cost derivative, in closed form through the Lambert W function; outside
+it exactly zero) and a weighted-mean update of each cluster representative.
+A convergence monitor checks every guarantee the iteration is supposed to
+deliver: strict per-iteration cost descent, bounded trajectories, gradient
+stationarity at termination, and positive definiteness of the cost's
+second-derivative matrix at the fixed point.
 """
 
 from .core import (
     DataSet,
     MembershipMatrix,
     ModelState,
-    cluster_costs,
-    point_term_cost,
     squared_distances,
     total_cost,
 )
@@ -49,11 +48,8 @@ from .membership import (
     ClusterSolverContext,
     InvalidParameterError,
     build_context,
-    f_value,
     radius_squared,
-    solve_membership,
     solve_membership_batch,
-    solve_membership_by_radius,
 )
 from .monitor import (
     FixedPointReport,
@@ -71,17 +67,12 @@ __all__ = [
     "DataSet",
     "ModelState",
     "MembershipMatrix",
-    "point_term_cost",
     "total_cost",
-    "cluster_costs",
     "squared_distances",
     "ClusterSolverContext",
     "InvalidParameterError",
     "build_context",
-    "f_value",
-    "solve_membership",
     "solve_membership_batch",
-    "solve_membership_by_radius",
     "radius_squared",
     "DegenerateDataError",
     "FcmConfig",

@@ -291,6 +291,7 @@ def _write_plot_data(out_dir: Path, result: RunResult) -> None:
 
 def _run_fcm_only(X: DataSet, m: int, config: SolverConfig, out_dir: Path) -> int:
     theta, u, gammas, _ = fcm_start(X, m, config.fcm)
+    out_dir.mkdir(parents=True, exist_ok=True)
     emit_csv(out_dir / "memberships.csv", u)
     lines = [
         "algorithm: fcm",
@@ -401,7 +402,6 @@ def run_command(args: argparse.Namespace) -> int:
     algorithm, m = options["algorithm"], options["clusters"]
     X = ingest_csv(options["input"])
     out_dir = Path(options.get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if algorithm == "fcm":
         return _run_fcm_only(X, m, config, out_dir)
@@ -411,6 +411,7 @@ def run_command(args: argparse.Namespace) -> int:
         result = run_pcm2(X, m, config)
 
     fp = check_fixed_point(X, result.state, result.membership)
+    out_dir.mkdir(parents=True, exist_ok=True)
     emit_csv(out_dir / "memberships.csv", result.dedup.membership)
     (out_dir / "summary.txt").write_text(_summary_text(algorithm, m, config, X, result, fp))
     if options.get("trace"):

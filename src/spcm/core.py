@@ -6,14 +6,14 @@ terms
     h(u; d) = u*d + gamma*(u*ln(u) - u) + lam*u**p,    0 < p < 1,
 
 with ``d`` the squared Euclidean distance between the point and the cluster
-representative and the convention h(0; d) = 0 (the u*ln(u) -> 0 limit is made
-exact by an explicit branch).  All types are immutable after construction and
-all operations are pure, so everything here is safe to evaluate concurrently.
+representative and the convention h(0; d) = 0, made exact by an explicit
+branch in the N x m term matrix that :func:`total_cost` sums.  All types are
+immutable after construction and all operations are pure, so everything here
+is safe to evaluate concurrently.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +22,7 @@ __all__ = [
     "DataSet",
     "ModelState",
     "MembershipMatrix",
-    "point_term_cost",
     "total_cost",
-    "cluster_costs",
     "squared_distances",
 ]
 
@@ -166,32 +164,6 @@ class MembershipMatrix:
         return self.values.shape[1]
 
 
-def point_term_cost(d: float, u: float, gamma: float, lam: float, p: float) -> float:
-    """Single-term cost u*d + gamma*(u*ln(u) - u) + lam*u**p.
-
-    Returns exactly 0.0 at u == 0 (the u*ln(u) -> 0 limit is taken by an
-    explicit branch rather than relying on floating-point behaviour).
-
-    Raises
-    ------
-    ValueError
-        If ``u`` lies outside [0, 1] or another argument violates its domain.
-    """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"membership must lie in [0, 1], got {u}")
-    if not d >= 0:
-        raise ValueError(f"squared distance must be nonnegative, got {d}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if not lam >= 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if u == 0.0:
-        return 0.0
-    return u * d + gamma * (u * math.log(u) - u) + lam * u**p
-
-
 def _term_matrix(X: DataSet, U: MembershipMatrix, state: ModelState) -> np.ndarray:
     u = U.values
     if u.shape[0] != X.n_points:
@@ -215,8 +187,3 @@ def total_cost(X: DataSet, U: MembershipMatrix, state: ModelState) -> float:
     terms = _term_matrix(X, U, state)
     return float(terms.sum(axis=1).sum())
 
-
-def cluster_costs(X: DataSet, U: MembershipMatrix, state: ModelState) -> np.ndarray:
-    """Per-cluster cost vector; its sum matches :func:`total_cost` up to
-    accumulation-order rounding."""
-    return _term_matrix(X, U, state).sum(axis=0)

@@ -23,6 +23,7 @@ rather than silently freezing the cluster.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -93,8 +94,8 @@ class SolverConfig:
                 )
         if not 0 < self.theta_tol < math.inf:
             raise ValueError(f"theta_tol must be positive and finite, got {self.theta_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         if self.dedup_threshold is not None and not 0 <= self.dedup_threshold < math.inf:
             raise ValueError(f"dedup_threshold must be nonnegative and finite, got {self.dedup_threshold}")
 

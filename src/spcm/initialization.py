@@ -29,6 +29,7 @@ lam = 0) is the non-sparse PCM start, for which every bound is vacuous.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -71,10 +72,12 @@ class FcmConfig:
             raise ValueError(f"fuzzifier must be finite and exceed 1, got {self.fuzzifier}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         if not 0 <= self.seed < math.inf:
             raise ValueError(f"seed must be nonnegative and finite, got {self.seed}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed}")
 
 
 def _seed_representatives(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:

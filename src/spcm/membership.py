@@ -17,15 +17,16 @@ Lambert W function, -a*w = W0(z); as ln(-W0(z)) = ln(-z) - W0(z), it is
     u2 = exp(-d/gamma + W0(z)/(1-p)).
 
 The membership is u2 if u2 is at least the threshold
-u_min = (lam*(1-p)/gamma)**(1/(1-p)) and 0 otherwise.  The threshold
-comparison is equivalent to a radius test d <= R^2 with
+u_min = (lam*(1-p)/gamma)**(1/(1-p)) and 0 otherwise.  The solver decides
+this by the equivalent radius test d <= R^2 with
 
     R^2 = gamma/(1-p) * (-ln(lam*(1-p)/gamma) - p),
 
 a quantity that depends only on (gamma, lam, p).  The d == R^2 boundary
-takes the nonzero branch (closed ball).  With lam == 0 the solver reduces
-to the closed form exp(-d/gamma): u_min = 0, u_max = 1 and the radius is
-infinite, so every point keeps a positive membership.
+takes the nonzero branch (closed ball), where u2 = u_min; the root is
+clamped to at least u_min so rounding cannot take it below the band.  With
+lam == 0 the solver reduces to exp(-d/gamma): u_min = 0, u_max = 1 and the
+radius is infinite, so every point keeps a positive membership.
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ __all__ = [
     "InvalidParameterError",
     "ClusterSolverContext",
     "build_context",
-    "f_value",
-    "solve_membership",
     "solve_membership_batch",
-    "solve_membership_by_radius",
     "radius_squared",
 ]
 
@@ -69,8 +67,6 @@ class ClusterSolverContext:
         Largest attainable nonzero membership (root of f at d = 0).
     radius_sq : float
         Squared influence radius; ``inf`` when ``lam == 0``.
-    f_at_u_hat_d0 : float
-        f(u_hat) evaluated at d = 0; f(u_hat) at distance d is this plus d.
     """
 
     gamma: float
@@ -80,7 +76,6 @@ class ClusterSolverContext:
     u_min: float
     u_max: float
     radius_sq: float
-    f_at_u_hat_d0: float
 
 
 def radius_squared(gamma: float, lam: float, p: float) -> float:
@@ -88,16 +83,6 @@ def radius_squared(gamma: float, lam: float, p: float) -> float:
     if lam == 0.0:
         return math.inf
     return (gamma / (1.0 - p)) * (-math.log(lam * (1.0 - p) / gamma) - p)
-
-
-def f_value(u: float, d: float, ctx: ClusterSolverContext) -> float:
-    """Cost derivative f(u) = d + gamma*ln(u) + lam*p*u**(p-1).
-
-    Diverges to +inf as u -> 0+; raises for u <= 0.
-    """
-    if not u > 0:
-        raise ValueError(f"f is only defined for u > 0, got {u}")
-    return d + ctx.gamma * math.log(u) + ctx.lam * ctx.p * u ** (ctx.p - 1.0)
 
 
 def _lambert_w0(z: np.ndarray) -> np.ndarray:
@@ -123,7 +108,7 @@ def _lambert_w0(z: np.ndarray) -> np.ndarray:
 def _largest_root(d: np.ndarray, gamma: float, lam: float, p: float) -> np.ndarray:
     """Closed-form larger root u2 of f (module docstring) for each entry of d.
 
-    Needs lam > 0 and f(u_hat) <= 0, where z is at or above -1/e.
+    Needs lam > 0 and d <= R^2, where z is at or above -1/e.
     """
     one_minus_p = 1.0 - p
     # ln(-z), capped at -1 so z never passes the branch point -1/e
@@ -157,7 +142,6 @@ def build_context(gamma: float, lam: float, p: float) -> ClusterSolverContext:
             u_min=0.0,
             u_max=1.0,
             radius_sq=math.inf,
-            f_at_u_hat_d0=-math.inf,
         )
 
     inv = 1.0 / (1.0 - p)
@@ -170,7 +154,6 @@ def build_context(gamma: float, lam: float, p: float) -> ClusterSolverContext:
             f"violate the radius-positivity bound lam*(1-p)/gamma < e^(-p) "
             f"(equivalently K < p*e^(2*(1-p)))"
         )
-    f0 = gamma * math.log(u_hat) + lam * p * u_hat ** (p - 1.0)
 
     return ClusterSolverContext(
         gamma=float(gamma),
@@ -180,14 +163,14 @@ def build_context(gamma: float, lam: float, p: float) -> ClusterSolverContext:
         u_min=u_min,
         u_max=float(_largest_root(np.zeros(1), gamma, lam, p)[0]),
         radius_sq=r_sq,
-        f_at_u_hat_d0=f0,
     )
 
 
 def solve_membership_batch(d: np.ndarray, ctx: ClusterSolverContext) -> np.ndarray:
     """Vectorised two-branch membership update for an array of squared distances.
 
-    Identical arithmetic to :func:`solve_membership` applied elementwise.
+    Each entry is the larger root of f, at least u_min, when d <= R^2, and 0
+    otherwise.
     """
     d = np.asarray(d, dtype=np.float64)
     if (d < 0).any():
@@ -195,37 +178,7 @@ def solve_membership_batch(d: np.ndarray, ctx: ClusterSolverContext) -> np.ndarr
     if ctx.lam == 0.0:
         return np.exp(-d / ctx.gamma)
     out = np.zeros_like(d)
-    has_roots = d + ctx.f_at_u_hat_d0 < 0.0
-    if has_roots.any():
-        roots = _largest_root(d[has_roots], ctx.gamma, ctx.lam, ctx.p)
-        out[has_roots] = np.where(roots >= ctx.u_min, roots, 0.0)
+    inside = d <= ctx.radius_sq
+    if inside.any():
+        out[inside] = np.maximum(_largest_root(d[inside], ctx.gamma, ctx.lam, ctx.p), ctx.u_min)
     return out
-
-
-def solve_membership(d: float, ctx: ClusterSolverContext) -> float:
-    """Optimal membership for a point at squared distance d.
-
-    Returns the larger root of f when f(u_hat) < 0 and the root clears the
-    u_min threshold; otherwise 0 (including the measure-zero f(u_hat) == 0
-    case, where u_hat is the only root and the cost is minimised at 0).
-    """
-    return float(solve_membership_batch(np.array([d], dtype=np.float64), ctx)[0])
-
-
-def solve_membership_by_radius(d: float, ctx: ClusterSolverContext) -> float:
-    """Radius form of the update: the root if d <= R^2, else 0.
-
-    Equivalent to :func:`solve_membership`; the threshold comparison on the
-    root is replaced by the ball test, with the boundary d == R^2 kept on the
-    nonzero branch.
-    """
-    if not d >= 0:
-        raise ValueError(f"squared distance must be nonnegative, got {d}")
-    if ctx.lam == 0.0:
-        return float(np.exp(-d / ctx.gamma))
-    if d > ctx.radius_sq:
-        return 0.0
-    root = float(_largest_root(np.array([d], dtype=np.float64), ctx.gamma, ctx.lam, ctx.p)[0])
-    # the root is u_min at d == R^2; rounding must not take it below the band
-    return max(root, ctx.u_min)
-

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: costs are
 accumulated by naive double loops, roots come from a dense grid scan refined
-by Brent's method or from bisection to float resolution, and second
+by Brent's method or from bisection to float resolution (the threshold form
+of the membership update decides on the root, not on the ball), and second
 derivatives come from central finite differences of the cost.  The dense
 fixed-point monitor at the end is the original full-matrix implementation,
 kept as the reference for the library's structured one.
@@ -96,6 +97,24 @@ def bisect_largest_root(d, gamma, lam, p):
         negative = d + gamma * np.log(mid) + lam * p * mid ** (p - 1.0) < 0.0
         lo = np.where(open_ & negative, mid, lo)
         hi = np.where(open_ & ~negative, mid, hi)
+
+
+def f_value(u, d, ctx):
+    """Cost derivative f(u) = d + gamma*ln(u) + lam*p*u**(p-1) for one
+    cluster context; raises for u <= 0."""
+    if not u > 0:
+        raise ValueError(f"f is only defined for u > 0, got {u}")
+    return d + ctx.gamma * math.log(u) + ctx.lam * ctx.p * u ** (ctx.p - 1.0)
+
+
+def threshold_membership(d, ctx):
+    """Threshold form of the membership update (lam > 0): the larger root of
+    f, by bisection, when f(u_hat; d) < 0 and that root is at least u_min;
+    0 otherwise."""
+    if not f_value(ctx.u_hat, d, ctx) < 0.0:
+        return 0.0
+    root = float(bisect_largest_root(np.array([d]), ctx.gamma, ctx.lam, ctx.p)[0])
+    return root if root >= ctx.u_min else 0.0
 
 
 def fd_hessian(func, x0, h=1e-5):

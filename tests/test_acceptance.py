@@ -18,11 +18,11 @@ import spcm
 from spcm.core import squared_distances
 from spcm.driver import SolverConfig, run, run_pcm2
 from spcm.initialization import activation_bound, compute_lambda, radius_bound, validate_K
-from spcm.membership import build_context, radius_squared, solve_membership, solve_membership_by_radius
+from spcm.membership import build_context, radius_squared, solve_membership_batch
 from spcm.monitor import check_fixed_point, weighted_cauchy_schwarz_holds
 
 from conftest import make_noise_benchmark
-from oracles import fd_cluster_hessian, grid_largest_root
+from oracles import f_value, fd_cluster_hessian, grid_largest_root, threshold_membership
 
 SEEDS = tuple(range(20))
 CONFIG = SolverConfig(p=0.5, K=0.9, theta_tol=1e-7, max_iters=500)
@@ -95,8 +95,8 @@ def test_criterion_03_branch_equivalence():
         lam = compute_lambda(np.array([gamma]), K, p)
         ctx = build_context(gamma, lam, p)
         d = float(rng.uniform(0.0, 1.5 * ctx.radius_sq))
-        a = solve_membership(d, ctx)
-        b = solve_membership_by_radius(d, ctx)
+        a = threshold_membership(d, ctx)
+        b = solve_membership_batch(np.array([d]), ctx)[0]
         if (a > 0) != (b > 0):
             mismatches += 1
         elif a > 0:
@@ -128,7 +128,7 @@ def test_criterion_04_root_solver_against_grid_oracle():
         lam = compute_lambda(np.array([gamma]), K, p)
         ctx = build_context(gamma, lam, p)
         d = float(rng.uniform(0.0, ctx.radius_sq))
-        if d + ctx.f_at_u_hat_d0 >= 0:
+        if d + f_value(ctx.u_hat, 0.0, ctx) >= 0:
             continue
         checked += 1
         oracle_root, sign_changes = grid_largest_root(d, gamma, lam, p, n=20_000)
@@ -136,7 +136,7 @@ def test_criterion_04_root_solver_against_grid_oracle():
         if oracle_root is None:
             ok = False
             continue
-        root = solve_membership_by_radius(d, ctx)
+        root = float(solve_membership_batch(np.array([d]), ctx)[0])
         worst_gap = max(worst_gap, abs(root - oracle_root))
         resid = abs(d + gamma * math.log(root) + lam * p * root ** (p - 1.0))
         worst_resid = max(worst_resid, resid / (1.0 + d))
@@ -249,7 +249,7 @@ def test_criterion_08_parameter_bounds_fuzz():
             n_activation += 1
             for j in range(3):
                 ctx = build_context(float(gammas[j]), lam, p)
-                ok &= solve_membership(float(mu[j] * gammas[j]), ctx) > 0
+                ok &= solve_membership_batch(np.array([mu[j] * gammas[j]]), ctx)[0] > 0
     ok &= abs(activation_bound(0.5, 0.0) - 1.359) < 1e-3
     ok &= activation_bound(0.5, 0.0) == radius_bound(0.5)
     report = validate_K(0.9, np.array([1.0, 1.3]), 0.5, np.array([0.01, 0.02]))

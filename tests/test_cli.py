@@ -198,6 +198,17 @@ def test_non_finite_settings_rejected(config, field, key, value, dataset_csv, tm
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "config, field, value",
+    [(SolverConfig, "max_iters", 2.5), (FcmConfig, "max_iters", 2.5), (FcmConfig, "seed", 1.5)],
+    ids=["max_iters", "fcm.max_iters", "fcm.seed"],
+)
+def test_non_integral_counts_rejected(config, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        config(**{field: value})
+    assert getattr(config(**{field: np.int64(3)}), field) == 3
+
+
 class TestRunCommand:
     @pytest.mark.parametrize("key, value", RUN_OPTION_VALUES)
     def test_flag_and_config_key_agree(self, key, value, dataset_csv, tmp_path, monkeypatch):
@@ -312,6 +323,15 @@ class TestRunCommand:
         )
         assert code == 3
         assert "active points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["spcm", "pcm2", "fcm"])
+    def test_failed_run_leaves_no_output_directory(self, algorithm, tmp_path, capsys):
+        data = write(tmp_path / "three.csv", "0,0\n1,0\n0,1\n")
+        out = tmp_path / "o"
+        argv = ["run", "--algorithm", algorithm, "--input", data, "--out-dir", str(out), "--clusters", "5"]
+        assert main(argv) == 2
+        assert "1 <= m <= 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code = main(

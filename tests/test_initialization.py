@@ -18,7 +18,7 @@ from spcm.initialization import (
     run_fcm,
     validate_K,
 )
-from spcm.membership import build_context, radius_squared, solve_membership
+from spcm.membership import build_context, radius_squared, solve_membership_batch
 
 mp.dps = 50
 
@@ -245,4 +245,4 @@ class TestInitialize:
             lam = compute_lambda(gammas, K, p)
             for j in range(3):
                 ctx = build_context(float(gammas[j]), lam, p)
-                assert solve_membership(float(mu[j] * gammas[j]), ctx) > 0
+                assert solve_membership_batch(np.array([mu[j] * gammas[j]]), ctx)[0] > 0

@@ -6,17 +6,9 @@ from mpmath import mp
 from scipy.special import lambertw
 
 from spcm.initialization import compute_lambda, radius_bound
-from spcm.membership import (
-    InvalidParameterError,
-    build_context,
-    f_value,
-    radius_squared,
-    solve_membership,
-    solve_membership_batch,
-    solve_membership_by_radius,
-)
+from spcm.membership import InvalidParameterError, build_context, radius_squared, solve_membership_batch
 
-from oracles import bisect_largest_root, grid_largest_root
+from oracles import bisect_largest_root, f_value, grid_largest_root, threshold_membership
 
 mp.dps = 50
 
@@ -35,6 +27,10 @@ def random_context(rng, p_lo=0.1, p_hi=0.9, k_lo=0.2, k_hi=0.99):
     K = rng.uniform(k_lo, k_hi) * radius_bound(p)
     lam = compute_lambda(np.array([gamma]), K, p)
     return build_context(gamma, lam, p)
+
+
+def solve_one(d, ctx):
+    return float(solve_membership_batch(np.array([d]), ctx)[0])
 
 
 class TestFValue:
@@ -105,16 +101,16 @@ class TestBuildContext:
 class TestSolveMembership:
     def test_zero_distance_zero_sparsity(self):
         c = build_context(1.5, 0.0, 0.5)
-        assert solve_membership(0.0, c) == 1.0
+        assert solve_one(0.0, c) == 1.0
 
     def test_beyond_radius_is_zero(self, ctx):
-        assert solve_membership(ctx.radius_sq * 1.01, ctx) == 0.0
-        assert solve_membership(100.0, ctx) == 0.0
+        assert solve_one(ctx.radius_sq * 1.01, ctx) == 0.0
+        assert solve_one(100.0, ctx) == 0.0
 
     def test_matches_grid_oracle(self, ctx):
         root, changes = grid_largest_root(0.4, GAMMA, LAM, P, n=10**6)
         assert changes <= 2
-        got = solve_membership(0.4, ctx)
+        got = solve_one(0.4, ctx)
         assert got == pytest.approx(root, abs=1e-8)
         # frozen from the high-precision root of 0.4 + ln(u) + 0.401625*u**-0.5
         assert got == pytest.approx(0.33485763699367714, abs=1e-8)
@@ -122,20 +118,20 @@ class TestSolveMembership:
     def test_at_most_two_sign_changes(self, rng):
         for _ in range(5):
             c = random_context(rng, p_lo=0.3, p_hi=0.7)
-            d = rng.uniform(0, -c.f_at_u_hat_d0)
+            d = rng.uniform(0, -f_value(c.u_hat, 0.0, c))
             _, changes = grid_largest_root(d, c.gamma, c.lam, c.p, n=10**6)
             assert changes <= 2
 
     def test_monotone_nonincreasing_in_distance(self, ctx):
         grid = np.linspace(0.0, ctx.radius_sq, 64)
-        vals = [solve_membership(d, ctx) for d in grid]
+        vals = [solve_one(d, ctx) for d in grid]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_bound_compliance(self, rng):
         for _ in range(50):
             c = random_context(rng)
             for d in rng.uniform(0, 1.5 * c.radius_sq, size=8):
-                u = solve_membership(float(d), c)
+                u = solve_one(float(d), c)
                 if u > 0:
                     assert c.u_min - 1e-9 <= u <= c.u_max + 1e-9
 
@@ -143,41 +139,34 @@ class TestSolveMembership:
         for _ in range(100):
             c = random_context(rng, p_lo=0.3, p_hi=0.7, k_lo=0.4, k_hi=0.95)
             d = float(rng.uniform(0, c.radius_sq))
-            u = solve_membership(d, c)
+            u = solve_one(d, c)
             if u > 0:
                 assert abs(f_value(u, d, c)) < 1e-7 * (1.0 + d)
 
-    def test_batch_matches_scalar_bitwise(self, rng):
-        c = random_context(rng)
-        d = rng.uniform(0, 2 * c.radius_sq, size=64)
-        batch = solve_membership_batch(d, c)
-        scalar = np.array([solve_membership(float(x), c) for x in d])
-        np.testing.assert_array_equal(batch, scalar)
-
     def test_negative_distance_rejected(self, ctx):
         with pytest.raises(ValueError):
-            solve_membership(-0.1, ctx)
+            solve_one(-0.1, ctx)
 
 
 class TestRadiusForm:
     def test_boundary_returns_threshold_membership(self, ctx):
         # at d == R^2 the root is exactly u_min; the boundary keeps the nonzero branch
-        u = solve_membership_by_radius(ctx.radius_sq, ctx)
+        u = solve_one(ctx.radius_sq, ctx)
         assert u == pytest.approx(ctx.u_min, abs=1e-8)
         assert u > 0
 
     def test_zero_sparsity_closed_form(self):
         c = build_context(0.7, 0.0, 0.5)
         for d in (0.0, 0.3, 2.1):
-            assert solve_membership_by_radius(d, c) == pytest.approx(math.exp(-d / 0.7), rel=1e-15)
+            assert solve_one(d, c) == pytest.approx(math.exp(-d / 0.7), rel=1e-15)
 
     def test_decision_agreement_with_threshold_form(self, rng):
         agree_values = []
         for _ in range(2000):
             c = random_context(rng)
             d = float(rng.uniform(0, 1.5 * c.radius_sq))
-            a = solve_membership(d, c)
-            b = solve_membership_by_radius(d, c)
+            a = threshold_membership(d, c)
+            b = solve_one(d, c)
             assert (a > 0) == (b > 0)
             if a > 0:
                 agree_values.append(abs(a - b))
@@ -206,15 +195,16 @@ class TestClosedFormRoot:
             for _ in range(20):
                 with np.errstate(all="raise"):
                     c = random_context(rng, p_lo=p, p_hi=p)
-                edges = np.array([c.radius_sq, -c.f_at_u_hat_d0])
+                edges = np.array([c.radius_sq, -f_value(c.u_hat, 0.0, c)])
                 d = np.concatenate([[0.0], edges, np.nextafter(edges, np.inf), np.nextafter(edges, 0.0)])
                 with np.errstate(all="raise"):
-                    batch = solve_membership_batch(d, c)
-                    by_radius = np.array([solve_membership_by_radius(float(x), c) for x in d])
-                for u in (batch, by_radius):
-                    nz = u[u > 0]
-                    assert (nz >= c.u_min).all() and (nz <= c.u_max * (1.0 + 1e-12)).all()
-                assert batch[0] == c.u_max and by_radius[1] > 0
+                    u = solve_membership_batch(d, c)
+                nz = u[u > 0]
+                assert (nz >= c.u_min).all() and (nz <= c.u_max * (1.0 + 1e-12)).all()
+                assert u[0] == c.u_max and u[1] >= c.u_min
+                # the closed ball decides at R^2 and at both of its float neighbours
+                at_radius = [1, 3, 5]
+                np.testing.assert_array_equal(u[at_radius] > 0, d[at_radius] <= c.radius_sq)
 
 
 class TestPcm2Membership:
@@ -223,5 +213,5 @@ class TestPcm2Membership:
         gamma = 1.0
         c = build_context(gamma, 1e-12, 0.5)
         for d in np.linspace(0.0, 10.0 * gamma, 50):
-            u = solve_membership(float(d), c)
+            u = solve_one(float(d), c)
             assert abs(u - math.exp(-d / gamma)) < 1e-4

@@ -5,7 +5,7 @@ import spcm.monitor
 from spcm.core import DataSet, MembershipMatrix, ModelState
 from spcm.driver import SolverConfig, run, run_pcm2
 from spcm.initialization import compute_lambda
-from spcm.membership import build_context
+from spcm.membership import build_context, solve_membership_batch
 from spcm.monitor import (
     MonitorSettings,
     _arrowhead_blocks,
@@ -116,9 +116,7 @@ class TestAssembleHessian:
         gamma = 1.0
         lam = compute_lambda(np.array([gamma]), 0.9, 0.5)
         ctx = build_context(gamma, lam, 0.5)
-        from spcm.membership import solve_membership
-
-        u = solve_membership(0.09, ctx)
+        u = solve_membership_batch(np.array([0.09]), ctx)[0]
         state = ModelState([[0.0, 0.0]], [gamma], lam, 0.5)
         U = MembershipMatrix([[u], [u]])
         H = assemble_hessian(X, state, U, 0)
