@@ -10,99 +10,15 @@ stationarity at termination, and positive definiteness of the cost's
 second-derivative matrix at the fixed point.
 """
 
-from .core import (
-    DataSet,
-    MembershipMatrix,
-    ModelState,
-    squared_distances,
-    total_cost,
-)
-from .driver import (
-    ActiveSetEmptyError,
-    DedupResult,
-    IterationTrace,
-    RunResult,
-    SolverConfig,
-    deduplicate,
-    run,
-    run_pcm2,
-    spcm_step,
-    update_theta,
-)
-from .initialization import (
-    DegenerateDataError,
-    FcmConfig,
-    InitReport,
-    activation_bound,
-    compute_gammas,
-    compute_lambda,
-    compute_mu,
-    default_K,
-    fcm_start,
-    initialize,
-    radius_bound,
-    run_fcm,
-    validate_K,
-)
-from .membership import (
-    ClusterSolverContext,
-    InvalidParameterError,
-    build_context,
-    radius_squared,
-    solve_membership_batch,
-)
-from .monitor import (
-    FixedPointReport,
-    MonitorSettings,
-    assemble_hessian,
-    check_fixed_point,
-    epsilon_bound,
-    gradient_residual,
-    weighted_cauchy_schwarz_holds,
-)
+from . import core, driver, initialization, membership, monitor
+from .core import *
+from .driver import *
+from .initialization import *
+from .membership import *
+from .monitor import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataSet",
-    "ModelState",
-    "MembershipMatrix",
-    "total_cost",
-    "squared_distances",
-    "ClusterSolverContext",
-    "InvalidParameterError",
-    "build_context",
-    "solve_membership_batch",
-    "radius_squared",
-    "DegenerateDataError",
-    "FcmConfig",
-    "InitReport",
-    "run_fcm",
-    "fcm_start",
-    "compute_gammas",
-    "compute_lambda",
-    "compute_mu",
-    "radius_bound",
-    "activation_bound",
-    "default_K",
-    "validate_K",
-    "initialize",
-    "ActiveSetEmptyError",
-    "DedupResult",
-    "IterationTrace",
-    "RunResult",
-    "SolverConfig",
-    "update_theta",
-    "spcm_step",
-    "run",
-    "run_pcm2",
-    "deduplicate",
-    "MonitorSettings",
-    "FixedPointReport",
-    "gradient_residual",
-    "assemble_hessian",
-    "epsilon_bound",
-    "check_fixed_point",
-    "weighted_cauchy_schwarz_holds",
-    "__version__",
+    *core.__all__, *membership.__all__, *initialization.__all__, *driver.__all__, *monitor.__all__, "__version__",
 ]

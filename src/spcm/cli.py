@@ -151,10 +151,12 @@ class BlobSpec:
         centers = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
         if centers.shape[0] < 1:
             raise ValueError("need at least one blob")
+        if not np.isfinite(centers).all():
+            raise ValueError(f"centers must be finite, got {centers.tolist()}")
         if self.points_per_blob < 1:
             raise ValueError(f"points_per_blob must be >= 1, got {self.points_per_blob}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError(f"noise_fraction must lie in [0, 1), got {self.noise_fraction}")
         object.__setattr__(self, "centers", centers)
@@ -164,7 +166,8 @@ def generate_blobs(spec: BlobSpec, seed: int = 0) -> tuple[DataSet, np.ndarray]:
     """Deterministic blobs + background noise; noise points carry label -1.
 
     The noise count is ``round(noise_fraction * total blob points)``, drawn
-    uniformly over the blob bounding box inflated by half its span per side.
+    uniformly over the blob bounding box inflated by half its span per side;
+    a box whose width overflows raises ``ValueError``.
     """
     rng = np.random.default_rng(seed)
     chunks, labels = [], []
@@ -176,8 +179,13 @@ def generate_blobs(spec: BlobSpec, seed: int = 0) -> tuple[DataSet, np.ndarray]:
     n_noise = int(round(spec.noise_fraction * blob_points.shape[0]))
     if n_noise:
         lo, hi = blob_points.min(axis=0), blob_points.max(axis=0)
-        span = hi - lo
-        noise = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=(n_noise, blob_points.shape[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = hi - lo
+            low, high = lo - 0.5 * span, hi + 0.5 * span
+            finite = np.isfinite(high - low).all()
+        if not finite:
+            raise ValueError(f"noise box [{low.tolist()}, {high.tolist()}] is not finite")
+        noise = rng.uniform(low, high, size=(n_noise, blob_points.shape[1]))
         chunks.append(noise)
         labels.append(np.full(n_noise, -1))
     return DataSet(np.vstack(chunks)), np.concatenate(labels)

@@ -131,7 +131,6 @@ class DedupResult:
     kept: tuple[int, ...]
     threshold: float
     representatives: np.ndarray
-    gammas: np.ndarray
     membership: np.ndarray
 
 
@@ -176,17 +175,15 @@ def _bounds_ok(U: np.ndarray, contexts: tuple[ClusterSolverContext, ...]) -> boo
 def spcm_step(
     X: DataSet,
     state: ModelState,
-    U_prev: MembershipMatrix | np.ndarray | None = None,
     contexts: tuple[ClusterSolverContext, ...] | None = None,
     cost_before: float | None = None,
 ) -> tuple[MembershipMatrix, ModelState, IterationTrace]:
     """One full iteration: memberships from the current representatives, then
     representatives from the new memberships.
 
-    ``cost_before`` (or ``U_prev``, from which it is computed) supplies the
-    cost of the incoming (U, theta) pair so the record exposes the full
-    descent chain cost_before > cost_after_u > cost.  The record's ``t`` is
-    0; :func:`run` numbers the iterations.
+    ``cost_before`` supplies the cost of the incoming (U, theta) pair so the
+    record exposes the full descent chain cost_before > cost_after_u > cost.
+    The record's ``t`` is 0; :func:`run` numbers the iterations.
     """
     if contexts is None:
         contexts = _build_contexts(state)
@@ -196,10 +193,6 @@ def spcm_step(
     counts = (U > 0).sum(axis=0)
     if (counts == 0).any():
         raise ActiveSetEmptyError(cluster=int(np.argmax(counts == 0)))
-
-    if cost_before is None and U_prev is not None:
-        prev = U_prev if isinstance(U_prev, MembershipMatrix) else MembershipMatrix(U_prev)
-        cost_before = total_cost(X, prev, state)
 
     membership = MembershipMatrix(U)
     cost_after_u = total_cost(X, membership, state)
@@ -328,6 +321,5 @@ def deduplicate(
         kept=tuple(kept),
         threshold=float(threshold),
         representatives=reps[kept].copy(),
-        gammas=state.gammas[kept].copy(),
         membership=merged,
     )

@@ -41,7 +41,6 @@ __all__ = [
     "assemble_hessian",
     "epsilon_bound",
     "check_fixed_point",
-    "weighted_cauchy_schwarz_holds",
 ]
 
 
@@ -334,21 +333,3 @@ def check_fixed_point(
         per_cluster_pd_margin=tuple(pd_margins),
         per_cluster_valley_samples=tuple(sample_counts),
     )
-
-
-def weighted_cauchy_schwarz_holds(u, u_prime, rtol: float = 1e-12) -> bool:
-    """Whether (sum u')**2 <= (sum u) * (sum u'**2/u) for positive vectors.
-
-    The inequality always holds mathematically (it is Cauchy-Schwarz applied
-    to sqrt(u) and u'/sqrt(u)); ``rtol`` absorbs rounding in the equality
-    case u' == u.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    u_prime = np.asarray(u_prime, dtype=np.float64)
-    if u.shape != u_prime.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {u_prime.shape}")
-    if (u <= 0).any() or (u_prime <= 0).any():
-        raise ValueError("both vectors must be strictly positive")
-    lhs = float(u_prime.sum()) ** 2
-    rhs = float(u.sum()) * float((u_prime**2 / u).sum())
-    return lhs <= rhs * (1.0 + rtol)

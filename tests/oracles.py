@@ -4,9 +4,11 @@ Everything here deliberately avoids the library's own code paths: costs are
 accumulated by naive double loops, roots come from a dense grid scan refined
 by Brent's method or from bisection to float resolution (the threshold form
 of the membership update decides on the root, not on the ball), and second
-derivatives come from central finite differences of the cost.  The dense
-fixed-point monitor at the end is the original full-matrix implementation,
-kept as the reference for the library's structured one.
+derivatives come from central finite differences of the cost.  The
+weighted Cauchy-Schwarz inequality of the convexity argument is checked
+directly.  The dense fixed-point monitor at the end is the original
+full-matrix implementation, kept as the reference for the library's
+structured one.
 """
 
 import math
@@ -110,11 +112,43 @@ def f_value(u, d, ctx):
 def threshold_membership(d, ctx):
     """Threshold form of the membership update (lam > 0): the larger root of
     f, by bisection, when f(u_hat; d) < 0 and that root is at least u_min;
-    0 otherwise."""
+    0 otherwise.
+
+    The bisection is :func:`bisect_largest_root` on one scalar: the same
+    bracket (u_hat, 1] and the same stop rule, run until the bracket
+    collapses to float resolution.
+    """
     if not f_value(ctx.u_hat, d, ctx) < 0.0:
         return 0.0
-    root = float(bisect_largest_root(np.array([d]), ctx.gamma, ctx.lam, ctx.p)[0])
+    lo = ((ctx.lam / ctx.gamma) * ctx.p * (1.0 - ctx.p)) ** (1.0 / (1.0 - ctx.p))
+    hi = 1.0
+    while True:
+        root = 0.5 * (lo + hi)
+        if not lo < root < hi:
+            break
+        if f_value(root, d, ctx) < 0.0:
+            lo = root
+        else:
+            hi = root
     return root if root >= ctx.u_min else 0.0
+
+
+def weighted_cauchy_schwarz_holds(u, u_prime, rtol: float = 1e-12) -> bool:
+    """Whether (sum u')**2 <= (sum u) * (sum u'**2/u) for positive vectors.
+
+    The inequality always holds mathematically (it is Cauchy-Schwarz applied
+    to sqrt(u) and u'/sqrt(u)); ``rtol`` absorbs rounding in the equality
+    case u' == u.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    u_prime = np.asarray(u_prime, dtype=np.float64)
+    if u.shape != u_prime.shape:
+        raise ValueError(f"shape mismatch: {u.shape} vs {u_prime.shape}")
+    if (u <= 0).any() or (u_prime <= 0).any():
+        raise ValueError("both vectors must be strictly positive")
+    lhs = float(u_prime.sum()) ** 2
+    rhs = float(u.sum()) * float((u_prime**2 / u).sum())
+    return lhs <= rhs * (1.0 + rtol)
 
 
 def fd_hessian(func, x0, h=1e-5):

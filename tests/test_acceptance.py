@@ -19,10 +19,10 @@ from spcm.core import squared_distances
 from spcm.driver import SolverConfig, run, run_pcm2
 from spcm.initialization import activation_bound, compute_lambda, radius_bound, validate_K
 from spcm.membership import build_context, radius_squared, solve_membership_batch
-from spcm.monitor import check_fixed_point, weighted_cauchy_schwarz_holds
+from spcm.monitor import check_fixed_point
 
 from conftest import make_noise_benchmark
-from oracles import f_value, fd_cluster_hessian, grid_largest_root, threshold_membership
+from oracles import f_value, fd_cluster_hessian, grid_largest_root, threshold_membership, weighted_cauchy_schwarz_holds
 
 SEEDS = tuple(range(20))
 CONFIG = SolverConfig(p=0.5, K=0.9, theta_tol=1e-7, max_iters=500)

@@ -89,6 +89,10 @@ class TestGenerateBlobs:
             BlobSpec(centers=default_centers(2), sigma=0.0)
         with pytest.raises(ValueError):
             BlobSpec(centers=default_centers(2), noise_fraction=1.0)
+        with pytest.raises(ValueError, match="sigma"):
+            BlobSpec(centers=default_centers(2), sigma=math.inf)
+        with pytest.raises(ValueError, match="centers"):
+            BlobSpec(centers=[[math.inf, 0.0]])
         with pytest.raises(ValueError, match="at least one blob"):
             default_centers(0)
 
@@ -117,6 +121,21 @@ class TestGenerateCommand:
         assert main(["generate", "--blobs", "0", "--out", str(tmp_path / "d.csv")]) == 2
         assert "at least one blob" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            pytest.param(["--sigma", "inf"], "sigma must be positive and finite", id="sigma-inf"),
+            pytest.param(["--centers", "1e308:0;-1e308:0"], "noise box", id="huge-centers"),
+        ],
+    )
+    def test_non_finite_blobs_are_a_config_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "g.csv"
+        assert main(["generate", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

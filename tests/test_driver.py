@@ -64,7 +64,7 @@ class TestSpcmStep:
     def test_idempotent_at_fixed_point(self, blob_benchmark):
         X, _ = blob_benchmark
         result = run(X, 3, SolverConfig(K=0.9, theta_tol=1e-12, max_iters=200))
-        U1, state1, _ = spcm_step(X, result.state, U_prev=result.membership)
+        U1, state1, _ = spcm_step(X, result.state)
         assert np.abs(U1.values - result.membership.values).max() < 1e-9
         assert np.abs(state1.representatives - result.state.representatives).max() < 1e-9
 
@@ -82,7 +82,7 @@ class TestSpcmStep:
     def test_cost_before_computed_from_previous_membership(self):
         X, state = symmetric_pair_state()
         U0 = MembershipMatrix(np.array([[0.5], [0.5]]))
-        _, _, record = spcm_step(X, state, U_prev=U0)
+        _, _, record = spcm_step(X, state, cost_before=total_cost(X, U0, state))
         assert record.cost_before == total_cost(X, U0, state)
 
     def test_active_set_emptied_raises(self):

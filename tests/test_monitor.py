@@ -17,11 +17,16 @@ from spcm.monitor import (
     check_fixed_point,
     epsilon_bound,
     gradient_residual,
-    weighted_cauchy_schwarz_holds,
 )
 
 from conftest import make_noise_benchmark
-from oracles import cluster_cost_fn, dense_check_fixed_point, dense_valley_samples, fd_hessian
+from oracles import (
+    cluster_cost_fn,
+    dense_check_fixed_point,
+    dense_valley_samples,
+    fd_hessian,
+    weighted_cauchy_schwarz_holds,
+)
 
 
 @pytest.fixture(scope="module")
