@@ -167,12 +167,17 @@ def generate_blobs(spec: BlobSpec, seed: int = 0) -> tuple[DataSet, np.ndarray]:
 
     The noise count is ``round(noise_fraction * total blob points)``, drawn
     uniformly over the blob bounding box inflated by half its span per side;
-    a box whose width overflows raises ``ValueError``.
+    a blob point or a box width that overflows raises ``ValueError``.
     """
     rng = np.random.default_rng(seed)
     chunks, labels = [], []
     for b, center in enumerate(spec.centers):
-        pts = center[None, :] + spec.sigma * rng.standard_normal((spec.points_per_blob, spec.centers.shape[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = center[None, :] + spec.sigma * rng.standard_normal((spec.points_per_blob, spec.centers.shape[1]))
+        if not np.isfinite(pts).all():
+            raise ValueError(
+                f"blob {b} has a non-finite point: sigma {spec.sigma} overflows around {center.tolist()}"
+            )
         chunks.append(pts)
         labels.append(np.full(spec.points_per_blob, b))
     blob_points = np.vstack(chunks)

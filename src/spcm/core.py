@@ -6,10 +6,14 @@ terms
     h(u; d) = u*d + gamma*(u*ln(u) - u) + lam*u**p,    0 < p < 1,
 
 with ``d`` the squared Euclidean distance between the point and the cluster
-representative and the convention h(0; d) = 0, made exact by an explicit
-branch in the N x m term matrix that :func:`total_cost` sums.  All types are
-immutable after construction and all operations are pure, so everything here
-is safe to evaluate concurrently.
+representative and the convention h(0; d) = 0: :func:`total_cost` evaluates
+h, and so its log and power, on the active entries (u > 0) only, and an
+inactive entry contributes exactly 0.  Both kernels stream column by column:
+:func:`squared_distances` builds no N x m x l temporary and returns a
+C-contiguous (N, m) array, and the cost adds its m columns elementwise
+instead of reducing along the short cluster axis.  All types are immutable
+after construction and all operations are pure, so everything here is safe
+to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -33,16 +37,55 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def squared_distances(points: np.ndarray, representatives: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape (N, m).
+# Points per block of the distance kernel: its scratch vectors (64 KiB each)
+# and the block of points it reads stay in cache.
+_BLOCK = 8192
 
-    Squared distances are formed directly (no norm-then-square) so no
-    redundant square root is taken.
+
+def squared_distances(points: np.ndarray, representatives: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances as a C-contiguous (N, m) array.
+
+    ``points`` is (N, l) and ``representatives`` is (m, l), with the same
+    l >= 1; any other shape raises ``ValueError``.  Squared distances are
+    formed directly (no norm-then-square), one block of points and one
+    coordinate at a time, so no N x m x l difference array is built.  The
+    squares of the even and of the odd coordinates are each added left to
+    right and the two sums added last.  That pairing reproduces numpy's
+    vectorised ``einsum("ijk,ijk->ij", diff, diff)`` bit for bit up to
+    l = 4, and agrees with it to a few ulps beyond.
     """
     points = np.asarray(points, dtype=np.float64)
     representatives = np.asarray(representatives, dtype=np.float64)
-    diff = points[:, None, :] - representatives[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    if (
+        points.ndim != 2
+        or representatives.ndim != 2
+        or points.shape[1] != representatives.shape[1]
+        or points.shape[1] < 1
+    ):
+        raise ValueError(
+            f"points {points.shape} and representatives {representatives.shape} "
+            "must be (N, l) and (m, l) arrays with the same l >= 1"
+        )
+    n, l = points.shape
+    out = np.empty((n, representatives.shape[0]))
+    even, odd, square = np.empty((3, min(n, _BLOCK)))
+    for start in range(0, n, _BLOCK):
+        coords = points[start : start + _BLOCK].T
+        b = coords.shape[1]
+        sums, sq = (even[:b], odd[:b]), square[:b]
+        for j, theta in enumerate(representatives.tolist()):
+            for k in range(l):
+                # coordinates 0 and 1 start the two sums; later ones add to them
+                dest = sums[k % 2] if k < 2 else sq
+                np.subtract(coords[k], theta[k], out=dest)
+                np.multiply(dest, dest, out=dest)
+                if k >= 2:
+                    np.add(sums[k % 2], sq, out=sums[k % 2])
+            if l > 1:
+                np.add(sums[0], sums[1], out=out[start : start + b, j])
+            else:
+                out[start : start + b, j] = sums[0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,7 +207,13 @@ class MembershipMatrix:
         return self.values.shape[1]
 
 
-def _term_matrix(X: DataSet, U: MembershipMatrix, state: ModelState) -> np.ndarray:
+def _point_costs(X: DataSet, U: MembershipMatrix, state: ModelState) -> np.ndarray:
+    """Per-point cost sum_j h(u_ij; d_ij), shape (N,).
+
+    h, with its log and power, is evaluated on the active entries of each
+    column only; the columns are added in index order, which is the order
+    numpy's ``sum(axis=1)`` uses for fewer than 8 clusters.
+    """
     u = U.values
     if u.shape[0] != X.n_points:
         raise ValueError(f"membership rows ({u.shape[0]}) do not match points ({X.n_points})")
@@ -173,17 +222,19 @@ def _term_matrix(X: DataSet, U: MembershipMatrix, state: ModelState) -> np.ndarr
     if X.n_dims != state.n_dims:
         raise ValueError(f"point dimension ({X.n_dims}) does not match representatives ({state.n_dims})")
     d = squared_distances(X.points, state.representatives)
-    # log evaluated only where u > 0; zero entries contribute exactly 0
-    log_u = np.log(np.where(u > 0, u, 1.0))
-    return u * d + state.gammas[None, :] * (u * log_u - u) + state.lam * u**state.p
+    costs = np.zeros(X.n_points)
+    for j, gamma in enumerate(state.gammas):
+        active = np.flatnonzero(u[:, j] > 0)
+        u_a = u[active, j]
+        costs[active] += u_a * d[active, j] + gamma * (u_a * np.log(u_a) - u_a) + state.lam * u_a**state.p
+    return costs
 
 
 def total_cost(X: DataSet, U: MembershipMatrix, state: ModelState) -> float:
     """Full cost, accumulated points-outer / clusters-inner.
 
     The accumulation order is fixed so traces are bit-reproducible on a given
-    platform.
+    platform.  Log and power run on the active entries (u > 0) only; an
+    inactive entry adds exactly 0.
     """
-    terms = _term_matrix(X, U, state)
-    return float(terms.sum(axis=1).sum())
-
+    return float(_point_costs(X, U, state).sum())

@@ -96,18 +96,32 @@ def _seed_representatives(points: np.ndarray, m: int, rng: np.random.Generator) 
     return points[chosen].copy()
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of an (N, m) array as m - 1 elementwise column adds in index
+    order, the order numpy's ``sum(axis=1)`` uses for fewer than 8 columns.
+    On a boolean array the adds are logical ors: ``any(axis=1)``."""
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _fcm_weights(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
+    """FCM memberships of rows with no zero distance; overwrites ``d2``."""
+    # floor keeps the inverse power finite for near-coincident points
+    w = np.maximum(d2, 1e-18, out=d2) ** (-1.0 / (fuzzifier - 1.0))
+    return w / _row_sums(w)[:, None]
+
+
 def _fcm_memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> np.ndarray:
     d2 = squared_distances(points, centers)
-    u = np.zeros_like(d2)
     exact = d2 == 0.0
-    hit = exact.any(axis=1)
-    if hit.any():
-        u[hit] = exact[hit] / exact[hit].sum(axis=1, keepdims=True)
-    rest = ~hit
-    if rest.any():
-        # floor keeps the inverse power finite for near-coincident points
-        w = np.maximum(d2[rest], 1e-18) ** (-1.0 / (fuzzifier - 1.0))
-        u[rest] = w / w.sum(axis=1, keepdims=True)
+    hit = _row_sums(exact)
+    if not hit.any():
+        return _fcm_weights(d2, fuzzifier)
+    u = np.zeros_like(d2)
+    u[hit] = exact[hit] / exact[hit].sum(axis=1, keepdims=True)
+    u[~hit] = _fcm_weights(d2[~hit], fuzzifier)
     return u
 
 

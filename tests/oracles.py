@@ -6,9 +6,11 @@ by Brent's method or from bisection to float resolution (the threshold form
 of the membership update decides on the root, not on the ball), and second
 derivatives come from central finite differences of the cost.  The
 weighted Cauchy-Schwarz inequality of the convexity argument is checked
-directly.  The dense fixed-point monitor at the end is the original
-full-matrix implementation, kept as the reference for the library's
-structured one.
+directly.  The einsum distance kernel, the full-matrix cost terms and the
+full-matrix FCM membership step are the original implementations, kept as
+the references for the library's streaming ones.  The dense fixed-point
+monitor at the end is the original full-matrix implementation, kept as the
+reference for the library's structured one.
 """
 
 import math
@@ -54,6 +56,51 @@ def nonsparse_cost(points, U, reps, gammas):
                 acc += u * math.log(u) - u
         second += float(gammas[j]) * acc
     return first + second
+
+
+def einsum_squared_distances(points: np.ndarray, representatives: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, shape (N, m).
+
+    Squared distances are formed directly (no norm-then-square) so no
+    redundant square root is taken.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    representatives = np.asarray(representatives, dtype=np.float64)
+    diff = points[:, None, :] - representatives[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def full_term_matrix(X, U, state) -> np.ndarray:
+    """The N x m matrix of cost terms h(u_ij; d_ij), log and power taken on
+    every entry; ``full_term_matrix(...).sum(axis=1).sum()`` is the cost."""
+    u = U.values
+    if u.shape[0] != X.n_points:
+        raise ValueError(f"membership rows ({u.shape[0]}) do not match points ({X.n_points})")
+    if u.shape[1] != state.n_clusters:
+        raise ValueError(f"membership columns ({u.shape[1]}) do not match clusters ({state.n_clusters})")
+    if X.n_dims != state.n_dims:
+        raise ValueError(f"point dimension ({X.n_dims}) does not match representatives ({state.n_dims})")
+    d = einsum_squared_distances(X.points, state.representatives)
+    # log evaluated only where u > 0; zero entries contribute exactly 0
+    log_u = np.log(np.where(u > 0, u, 1.0))
+    return u * d + state.gammas[None, :] * (u * log_u - u) + state.lam * u**state.p
+
+
+def full_fcm_memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> np.ndarray:
+    """FCM memberships from the full N x m distance matrix, with numpy
+    reductions along the cluster axis."""
+    d2 = einsum_squared_distances(points, centers)
+    u = np.zeros_like(d2)
+    exact = d2 == 0.0
+    hit = exact.any(axis=1)
+    if hit.any():
+        u[hit] = exact[hit] / exact[hit].sum(axis=1, keepdims=True)
+    rest = ~hit
+    if rest.any():
+        # floor keeps the inverse power finite for near-coincident points
+        w = np.maximum(d2[rest], 1e-18) ** (-1.0 / (fuzzifier - 1.0))
+        u[rest] = w / w.sum(axis=1, keepdims=True)
+    return u
 
 
 def grid_largest_root(d, gamma, lam, p, n=20000):

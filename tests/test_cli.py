@@ -128,6 +128,8 @@ class TestGenerateCommand:
         [
             pytest.param(["--sigma", "inf"], "sigma must be positive and finite", id="sigma-inf"),
             pytest.param(["--centers", "1e308:0;-1e308:0"], "noise box", id="huge-centers"),
+            pytest.param(["--sigma", "1e308"], "non-finite point", id="huge-sigma"),
+            pytest.param(["--sigma", "1e308", "--noise", "0"], "non-finite point", id="huge-sigma-no-noise"),
         ],
     )
     def test_non_finite_blobs_are_a_config_error(self, tmp_path, capsys, argv, message):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from spcm.core import DataSet, MembershipMatrix, ModelState, squared_distances, total_cost
+from spcm.core import _BLOCK, DataSet, MembershipMatrix, ModelState, squared_distances, total_cost
+from spcm.driver import SolverConfig, run, run_pcm2, spcm_step
 
-from oracles import naive_total_cost, nonsparse_cost
+from oracles import einsum_squared_distances, full_term_matrix, naive_total_cost, nonsparse_cost
 
 mp.dps = 50
 
@@ -151,3 +153,81 @@ class TestDomainTypes:
         for i in range(7):
             for j in range(2):
                 assert d[i, j] == pytest.approx(((pts[i] - reps[j]) ** 2).sum(), rel=1e-14)
+
+
+class TestStreamingKernels:
+    """The streaming kernels against the original full-array ones in oracles."""
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize(("n", "m"), [(1, 1), (1, 3), (7, 1), (7, 4), (2 * _BLOCK + 5, 3), (_BLOCK, 4)])
+    def test_distances_bit_identical_to_einsum_at_low_dimension(self, rng, n, m, l):
+        pts = rng.normal(scale=10.0, size=(n, l))
+        reps = rng.normal(size=(m, l))
+        d = squared_distances(pts, reps)
+        assert d.shape == (n, m) and d.dtype == np.float64 and d.flags.c_contiguous
+        np.testing.assert_array_equal(d, einsum_squared_distances(pts, reps))
+
+    @pytest.mark.parametrize(("n", "m"), [(1, 1), (2 * _BLOCK + 5, 4)])
+    def test_distances_match_einsum_at_sixteen_dimensions(self, rng, n, m):
+        pts = rng.normal(scale=10.0, size=(n, 16))
+        reps = rng.normal(size=(m, 16))
+        d = squared_distances(pts, reps)
+        assert d.flags.c_contiguous
+        np.testing.assert_allclose(d, einsum_squared_distances(pts, reps), rtol=1e-14, atol=0)
+
+    def test_distances_do_not_depend_on_input_layout(self, rng):
+        pts = rng.normal(size=(40, 6))[::2, ::2]
+        reps = np.asfortranarray(rng.normal(size=(3, 3)))
+        d = squared_distances(pts, reps)
+        assert d.flags.c_contiguous
+        np.testing.assert_array_equal(d, squared_distances(np.ascontiguousarray(pts), np.ascontiguousarray(reps)))
+
+    @pytest.mark.parametrize(
+        ("points_shape", "reps_shape"),
+        [
+            pytest.param((5, 2), (3, 3), id="fewer-point-coordinates"),
+            pytest.param((5, 3), (3, 2), id="fewer-representative-coordinates"),
+            pytest.param((5,), (3, 1), id="1d-points"),
+            pytest.param((5, 1), (3,), id="1d-representatives"),
+            pytest.param((5, 0), (3, 0), id="no-coordinates"),
+        ],
+    )
+    def test_distances_reject_mismatched_shapes(self, points_shape, reps_shape):
+        with pytest.raises(ValueError) as err:
+            squared_distances(np.zeros(points_shape), np.zeros(reps_shape))
+        assert str(points_shape) in str(err.value) and str(reps_shape) in str(err.value)
+
+    def test_distances_allocate_no_difference_array(self, rng):
+        n, m, l = 20_000, 4, 16
+        pts = rng.normal(size=(n, l))
+        reps = rng.normal(size=(m, l))
+        tracemalloc.start()
+        try:
+            squared_distances(pts, reps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * l * 8 / 4
+
+    @pytest.mark.parametrize("solver", [run, run_pcm2])
+    @pytest.mark.parametrize(("m", "p"), [(3, 0.5), (4, 0.5), (3, 0.2), (3, 0.9)])
+    def test_cost_bit_identical_to_full_matrix_on_a_run_trace(self, blob_benchmark, solver, m, p):
+        X, _ = blob_benchmark
+        result = solver(X, m, SolverConfig(p=p))
+        assert result.n_iterations > 5
+        report = result.init_report
+        state = ModelState(report.theta0, report.gammas, report.lam, p)
+        for record in result.trace:
+            U, state_next, replayed = spcm_step(X, state)
+            assert replayed.cost == record.cost and replayed.cost_after_u == record.cost_after_u
+            for s, cost in ((state, record.cost_after_u), (state_next, record.cost)):
+                assert cost == total_cost(X, U, s) == float(full_term_matrix(X, U, s).sum(axis=1).sum())
+            state = state_next
+
+    def test_inactive_entries_take_no_log(self):
+        X = DataSet([[0.0], [1.0], [3.0]])
+        state = ModelState([[0.5], [2.0]], [1.0, 2.0], 0.3, 0.5)
+        U = MembershipMatrix([[1.0, 0.0], [0.0, 0.0], [0.25, 1e-300]])
+        with np.errstate(all="raise"):
+            cost = total_cost(X, U, state)
+        assert cost == float(full_term_matrix(X, U, state).sum(axis=1).sum())

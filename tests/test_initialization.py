@@ -17,8 +17,11 @@ from spcm.initialization import (
     radius_bound,
     run_fcm,
     validate_K,
+    _fcm_memberships,
 )
 from spcm.membership import build_context, radius_squared, solve_membership_batch
+
+from oracles import full_fcm_memberships
 
 mp.dps = 50
 
@@ -69,6 +72,25 @@ class TestRunFcm:
             run_fcm(X, 3)
         with pytest.raises(ValueError):
             run_fcm(X, 0)
+
+
+class TestFcmMemberships:
+    """The column-wise membership step against the full-matrix oracle."""
+
+    @pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
+    def test_matches_full_matrix_form(self, rng, fuzzifier):
+        points = rng.normal(size=(500, 2))
+        centers = rng.normal(size=(4, 2))
+        u = _fcm_memberships(points, centers, fuzzifier)
+        np.testing.assert_array_equal(u, full_fcm_memberships(points, centers, fuzzifier))
+
+    @pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
+    def test_points_on_a_center_match_full_matrix_form(self, rng, fuzzifier):
+        points = rng.normal(size=(200, 2))
+        centers = points[[3, 17, 17, 120]]  # two coincident centres split their point evenly
+        u = _fcm_memberships(points, centers, fuzzifier)
+        np.testing.assert_array_equal(u, full_fcm_memberships(points, centers, fuzzifier))
+        np.testing.assert_array_equal(u[[3, 17, 120]], [[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1]])
 
 
 class TestComputeGammas:
