@@ -10,10 +10,13 @@ representative and the convention h(0; d) = 0: :func:`total_cost` evaluates
 h, and so its log and power, on the active entries (u > 0) only, and an
 inactive entry contributes exactly 0.  Both kernels stream column by column:
 :func:`squared_distances` builds no N x m x l temporary and returns a
-C-contiguous (N, m) array, and the cost adds its m columns elementwise
-instead of reducing along the short cluster axis.  All types are immutable
-after construction and all operations are pure, so everything here is safe
-to evaluate concurrently.
+C-contiguous (N, m) array (into ``out`` when given), and the cost adds its m
+columns elementwise instead of reducing along the short cluster axis.  One
+private helper evaluates the cost of one set of memberships under several
+sets of representatives, taking the u-only terms of h once per column: the
+loop's step uses it for its two costs, and :func:`total_cost` is its
+one-set case.  All types are immutable after construction and all
+operations are pure, so everything here is safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -42,11 +45,15 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
 _BLOCK = 8192
 
 
-def squared_distances(points: np.ndarray, representatives: np.ndarray) -> np.ndarray:
+def squared_distances(
+    points: np.ndarray, representatives: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Pairwise squared Euclidean distances as a C-contiguous (N, m) array.
 
     ``points`` is (N, l) and ``representatives`` is (m, l), with the same
-    l >= 1; any other shape raises ``ValueError``.  Squared distances are
+    l >= 1; any other shape raises ``ValueError``.  As in numpy, ``out``
+    receives the result and is returned; it must be a C-contiguous float64
+    (N, m) array, otherwise ``ValueError``.  Squared distances are
     formed directly (no norm-then-square), one block of points and one
     coordinate at a time, so no N x m x l difference array is built.  The
     squares of the even and of the odd coordinates are each added left to
@@ -67,7 +74,13 @@ def squared_distances(points: np.ndarray, representatives: np.ndarray) -> np.nda
             "must be (N, l) and (m, l) arrays with the same l >= 1"
         )
     n, l = points.shape
-    out = np.empty((n, representatives.shape[0]))
+    shape = (n, representatives.shape[0])
+    if out is None:
+        out = np.empty(shape)
+    elif not (
+        isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64 and out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     even, odd, square = np.empty((3, min(n, _BLOCK)))
     for start in range(0, n, _BLOCK):
         coords = points[start : start + _BLOCK].T
@@ -188,12 +201,23 @@ class MembershipMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
+        self._freeze(np.array(self.values, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> MembershipMatrix:
+        """Validate and freeze a float64 array that no one else writes to, in
+        place of a copy."""
+        matrix = object.__new__(cls)
+        matrix._freeze(arr)
+        return matrix
+
+    def _freeze(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ValueError(f"membership matrix must be 2-d, got ndim={arr.ndim}")
-        if not np.isfinite(arr).all():
-            raise ValueError("memberships must be finite")
-        if (arr < 0).any() or (arr > 1).any():
+        # one min and one max decide; NaN fails both, and the slow checks only name the error
+        if arr.size and not (arr.min() >= 0 and arr.max() <= 1):
+            if not np.isfinite(arr).all():
+                raise ValueError("memberships must be finite")
             raise ValueError("memberships must lie in [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -207,27 +231,52 @@ class MembershipMatrix:
         return self.values.shape[1]
 
 
-def _point_costs(X: DataSet, U: MembershipMatrix, state: ModelState) -> np.ndarray:
-    """Per-point cost sum_j h(u_ij; d_ij), shape (N,).
+def _active_columns(u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row indices and values of each column's active (u > 0) entries."""
+    columns = []
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        active = np.flatnonzero(col > 0)
+        columns.append((active, col[active]))
+    return columns
 
+
+def _costs(
+    X: DataSet,
+    state: ModelState,
+    representatives: tuple[np.ndarray, ...],
+    columns: list[tuple[np.ndarray, np.ndarray]],
+    distances: tuple[np.ndarray, ...] | None = None,
+    point_costs: tuple[np.ndarray, ...] | None = None,
+) -> list[float]:
+    """Cost of the memberships ``columns`` (see :func:`_active_columns`)
+    under ``state`` with each array of ``representatives``.
+
+    Each cost sums the per-point costs sum_j h(u_ij; d_ij) over the points.
     h, with its log and power, is evaluated on the active entries of each
-    column only; the columns are added in index order, which is the order
-    numpy's ``sum(axis=1)`` uses for fewer than 8 clusters.
+    column only, and its u-only terms gamma*(u*ln(u) - u) and lam*u**p once
+    per column for all the costs; each entry adds (u*d + entropy) + sparsity.
+    The columns are added in index order, which is the order numpy's
+    ``sum(axis=1)`` uses for fewer than 8 clusters.  ``distances``, one
+    (N, m) array per representative array, and ``point_costs``, one N-vector
+    each, are scratch space, allocated when not given.
     """
-    u = U.values
-    if u.shape[0] != X.n_points:
-        raise ValueError(f"membership rows ({u.shape[0]}) do not match points ({X.n_points})")
-    if u.shape[1] != state.n_clusters:
-        raise ValueError(f"membership columns ({u.shape[1]}) do not match clusters ({state.n_clusters})")
-    if X.n_dims != state.n_dims:
-        raise ValueError(f"point dimension ({X.n_dims}) does not match representatives ({state.n_dims})")
-    d = squared_distances(X.points, state.representatives)
-    costs = np.zeros(X.n_points)
-    for j, gamma in enumerate(state.gammas):
-        active = np.flatnonzero(u[:, j] > 0)
-        u_a = u[active, j]
-        costs[active] += u_a * d[active, j] + gamma * (u_a * np.log(u_a) - u_a) + state.lam * u_a**state.p
-    return costs
+    if distances is None:
+        distances = [None] * len(representatives)
+    distances = [squared_distances(X.points, theta, out=d) for theta, d in zip(representatives, distances)]
+    if point_costs is None:
+        point_costs = [np.empty(X.n_points) for _ in representatives]
+    for costs in point_costs:
+        costs.fill(0.0)
+    for j, ((active, u_a), gamma) in enumerate(zip(columns, state.gammas)):
+        entropy = gamma * (u_a * np.log(u_a) - u_a)
+        sparsity = state.lam * u_a**state.p
+        for d, costs in zip(distances, point_costs):
+            term = u_a * d[:, j][active]
+            term += entropy
+            term += sparsity
+            np.add.at(costs, active, term)  # costs[active] += term: the indices are distinct
+    return [float(costs.sum()) for costs in point_costs]
 
 
 def total_cost(X: DataSet, U: MembershipMatrix, state: ModelState) -> float:
@@ -237,4 +286,11 @@ def total_cost(X: DataSet, U: MembershipMatrix, state: ModelState) -> float:
     platform.  Log and power run on the active entries (u > 0) only; an
     inactive entry adds exactly 0.
     """
-    return float(_point_costs(X, U, state).sum())
+    u = U.values
+    if u.shape[0] != X.n_points:
+        raise ValueError(f"membership rows ({u.shape[0]}) do not match points ({X.n_points})")
+    if u.shape[1] != state.n_clusters:
+        raise ValueError(f"membership columns ({u.shape[1]}) do not match clusters ({state.n_clusters})")
+    if X.n_dims != state.n_dims:
+        raise ValueError(f"point dimension ({X.n_dims}) does not match representatives ({state.n_dims})")
+    return _costs(X, state, (state.representatives,), _active_columns(u))[0]

@@ -18,6 +18,13 @@ included, before any work is done.
 A cluster losing its last active point cannot happen when K passed
 validation, so its occurrence aborts the run with diagnostics attached
 rather than silently freezing the cluster.
+
+A step reads its active counts and band check off each solver column as it
+is stored, and evaluates both of its costs in one pass over the memberships
+(``spcm.core``).  :func:`run` reuses one set of step buffers (the squared
+distances at the incoming and the new representatives, the per-point costs)
+across its iterations, so a step allocates only its membership matrix and
+the solver's own temporaries.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import DataSet, MembershipMatrix, ModelState, squared_distances, total_cost
+from .core import DataSet, MembershipMatrix, ModelState, _costs, squared_distances
+from .core import total_cost  # noqa: F401  (spcm.driver.total_cost stays importable; the step uses _costs)
 from .initialization import FcmConfig, InitReport, initialize, radius_bound
 from .membership import ClusterSolverContext, InvalidParameterError, build_context, solve_membership_batch
 
@@ -161,15 +169,40 @@ def _build_contexts(state: ModelState) -> tuple[ClusterSolverContext, ...]:
     return tuple(build_context(float(g), state.lam, state.p) for g in state.gammas)
 
 
-def _bounds_ok(U: np.ndarray, contexts: tuple[ClusterSolverContext, ...]) -> bool:
+def _solve_memberships(
+    d2: np.ndarray, contexts: tuple[ClusterSolverContext, ...]
+) -> tuple[np.ndarray, np.ndarray, bool, list[tuple[np.ndarray, np.ndarray]]]:
+    """Memberships at squared distances ``d2``, one solver column at a time.
+
+    Returns the (N, m) matrix, each column's active count, whether every
+    active entry lies in its cluster's band [u_min, u_max] up to rounding,
+    and each column's active indices and values (the cost's input).  All
+    of it is read off each contiguous solver column before it is stored; a
+    column with no active point raises.
+    """
     tol = 1e-9
+    U = np.empty_like(d2)
+    counts = np.empty(len(contexts), dtype=np.intp)
+    in_band = True
+    columns = []
     for j, ctx in enumerate(contexts):
-        col = U[:, j]
-        nz = col > 0
-        if nz.any():
-            if col[nz].min() < ctx.u_min - tol or col[nz].max() > ctx.u_max + tol:
-                return False
-    return True
+        col = solve_membership_batch(d2[:, j], ctx)
+        active = np.flatnonzero(col > 0)
+        if active.size == 0:
+            raise ActiveSetEmptyError(cluster=j)
+        counts[j] = active.size
+        u_a = col[active]
+        in_band = in_band and bool(u_a.min() >= ctx.u_min - tol and u_a.max() <= ctx.u_max + tol)
+        columns.append((active, u_a))
+        U[:, j] = col
+    return U, counts, in_band, columns
+
+
+def _step_buffers(n_points: int, n_clusters: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Scratch space of one step: the squared distances at the incoming and
+    at the new representatives, and the per-point costs under each."""
+    distances = (np.empty((n_points, n_clusters)), np.empty((n_points, n_clusters)))
+    return distances, (np.empty(n_points), np.empty(n_points))
 
 
 def spcm_step(
@@ -177,31 +210,31 @@ def spcm_step(
     state: ModelState,
     contexts: tuple[ClusterSolverContext, ...] | None = None,
     cost_before: float | None = None,
+    *,
+    _buffers: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None,
 ) -> tuple[MembershipMatrix, ModelState, IterationTrace]:
     """One full iteration: memberships from the current representatives, then
     representatives from the new memberships.
 
     ``cost_before`` supplies the cost of the incoming (U, theta) pair so the
     record exposes the full descent chain cost_before > cost_after_u > cost.
-    The record's ``t`` is 0; :func:`run` numbers the iterations.
+    The record's ``t`` is 0; :func:`run` numbers the iterations.  ``_buffers``
+    is the scratch space of :func:`_step_buffers`, which :func:`run` reuses
+    across its steps; a step without it allocates its own.
     """
     if contexts is None:
         contexts = _build_contexts(state)
-    d2 = squared_distances(X.points, state.representatives)
-    U = np.column_stack([solve_membership_batch(d2[:, j], contexts[j]) for j in range(state.n_clusters)])
-
-    counts = (U > 0).sum(axis=0)
-    if (counts == 0).any():
-        raise ActiveSetEmptyError(cluster=int(np.argmax(counts == 0)))
-
-    membership = MembershipMatrix(U)
-    cost_after_u = total_cost(X, membership, state)
+    distances, point_costs = _buffers or _step_buffers(X.n_points, state.n_clusters)
+    U, counts, u_bounds_ok, columns = _solve_memberships(
+        squared_distances(X.points, state.representatives, out=distances[0]), contexts
+    )
+    membership = MembershipMatrix._adopt(U)
 
     new_reps = np.empty_like(state.representatives)
     for j in range(state.n_clusters):
-        new_reps[j] = update_theta(X, U[:, j])
+        new_reps[j] = update_theta(X, membership.values[:, j])
     state_next = replace(state, representatives=new_reps)
-    cost = total_cost(X, membership, state_next)
+    cost_after_u, cost = _costs(X, state, (state.representatives, new_reps), columns, distances, point_costs)
 
     delta = np.abs(state_next.representatives - state.representatives).max(axis=1)
     bbox_tol = 1e-9 * max(X.bbox_diagonal, 1.0)
@@ -218,7 +251,7 @@ def spcm_step(
         delta_theta=delta,
         max_delta_theta=float(delta.max()),
         active_counts=counts,
-        u_bounds_ok=_bounds_ok(U, contexts),
+        u_bounds_ok=u_bounds_ok,
         theta_in_bbox=in_bbox,
         u_step_decreased=u_step_decreased,
         theta_step_decreased=cost <= cost_after_u + _DESCENT_SLACK * abs(cost_after_u),
@@ -229,14 +262,18 @@ def spcm_step(
 def _iterate(X: DataSet, config: SolverConfig, report: InitReport) -> RunResult:
     state = ModelState(report.theta0, report.gammas, report.lam, config.p)
     contexts = _build_contexts(state)
+    buffers = _step_buffers(X.n_points, state.n_clusters)
     trace: list[IterationTrace] = []
     membership: MembershipMatrix | None = None
     termination = "iteration-cap"
 
     for t in range(config.max_iters):
         cost_before = trace[-1].cost if trace else None
+        membership = None  # the step does not read it; free it before the step allocates
         try:
-            membership, state, record = spcm_step(X, state, contexts=contexts, cost_before=cost_before)
+            membership, state, record = spcm_step(
+                X, state, contexts=contexts, cost_before=cost_before, _buffers=buffers
+            )
         except ActiveSetEmptyError as err:
             raise ActiveSetEmptyError(err.cluster, iteration=t, trace=trace) from None
         trace.append(replace(record, t=t))
@@ -244,6 +281,7 @@ def _iterate(X: DataSet, config: SolverConfig, report: InitReport) -> RunResult:
             termination = "converged"
             break
 
+    del buffers  # free the step's scratch before the merge allocates
     threshold = config.dedup_threshold
     if threshold is None:
         threshold = 1e-3 * X.bbox_diagonal

@@ -24,6 +24,12 @@ keeps the solver well behaved:
 Here mu_j = min_i d_ij / gamma_j is the scaled squared distance of the
 closest point to representative j, and mu_max = max_j mu_j.  K = 0 (so
 lam = 0) is the non-sparse PCM start, for which every bound is vacuous.
+
+The FCM pass keeps its memberships, weights and one N-vector in the same
+arrays for the whole run and reproduces numpy's own summation orders, so it
+allocates nothing per iteration and gives the same bits as the plain array
+expressions; :func:`fcm_start` computes the squared distances at the FCM
+representatives once, for both gammas and mu.
 """
 
 from __future__ import annotations
@@ -81,47 +87,106 @@ class FcmConfig:
 
 
 def _seed_representatives(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-weighted random selection of m data points (greedy seeding)."""
+    """Distance-weighted random selection of m data points (greedy seeding).
+
+    The squared distance to a seed adds the squared coordinate differences
+    left to right, the order of numpy's row sum for fewer than 8
+    coordinates; from l = 8 on, numpy's row sum switches to an 8-way
+    unrolled order, so the seeding weights there may differ from it in the
+    last bit.
+    """
     n = points.shape[0]
+    coords = points.T
+    d2, new, diff = np.empty(n), np.empty(n), np.empty(n)
+
+    def distances_to(idx: int, out: np.ndarray) -> np.ndarray:
+        for k, c in enumerate(points[idx]):
+            np.subtract(coords[k], c, out=diff)
+            if k == 0:
+                np.square(diff, out=out)
+            else:
+                out += np.square(diff, out=diff)
+        return out
+
     chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    distances_to(chosen[0], d2)
     for _ in range(m - 1):
         total = d2.sum()
         if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = int(rng.choice(n, p=np.divide(d2, total, out=new)))
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
-    return points[chosen].copy()
+        np.minimum(d2, distances_to(idx, new), out=d2)
+    return points[chosen]
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
+def _row_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row sums of an (N, m) array as m - 1 elementwise column adds in index
     order, the order numpy's ``sum(axis=1)`` uses for fewer than 8 columns.
     On a boolean array the adds are logical ors: ``any(axis=1)``."""
-    total = a[:, 0].copy()
+    if out is None:
+        out = np.empty(a.shape[0], dtype=a.dtype)
+    out[:] = a[:, 0]
     for j in range(1, a.shape[1]):
-        total += a[:, j]
-    return total
+        out += a[:, j]
+    return out
 
 
-def _fcm_weights(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
-    """FCM memberships of rows with no zero distance; overwrites ``d2``."""
+def _column_sums(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``a.sum(axis=0)`` of an (N, m) array, bit for bit, in one pass per column.
+
+    On a C-contiguous array with m >= 2 numpy adds the rows one after the
+    other; a running sum down each column (``scratch``, N elements, holds
+    it) ends on the same value.  Otherwise numpy's own reduction is used.
+    """
+    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] < 2 or not a.flags.c_contiguous:
+        return a.sum(axis=0)
+    if scratch is None:
+        scratch = np.empty(a.shape[0])
+    return np.array([np.add.accumulate(a[:, j], out=scratch)[-1] for j in range(a.shape[1])])
+
+
+def _power(a: np.ndarray, exponent: float, out: np.ndarray) -> np.ndarray:
+    """``a ** exponent`` written into ``out``, through the ufunc numpy's
+    ``**`` dispatches to: square at 2, reciprocal at -1, power otherwise."""
+    if exponent == 2.0:
+        return np.square(a, out=out)
+    if exponent == -1.0:
+        return np.reciprocal(a, out=out)
+    return np.power(a, exponent, out=out)
+
+
+def _fcm_memberships(
+    points: np.ndarray,
+    centers: np.ndarray,
+    fuzzifier: float,
+    u: np.ndarray | None = None,
+    w: np.ndarray | None = None,
+    row: np.ndarray | None = None,
+) -> np.ndarray:
+    """FCM memberships of every point, written into ``u`` (N, m).
+
+    ``w`` (N, m) and ``row`` (N,) are scratch space; each of the three is
+    allocated when not given.  A point at distance 0 from some centres
+    splits its membership evenly between them; those rows are patched after
+    the weights of the others, which no row's result depends on.
+    """
+    u = squared_distances(points, centers, out=u)
+    if w is None:
+        w = np.empty_like(u)
+    if row is None:
+        row = np.empty(u.shape[0])
+    hits = None
+    if u.min() == 0.0:  # distances are never negative
+        hits = np.flatnonzero(_row_sums(u == 0.0))
+        exact = u[hits] == 0.0
+        u[hits] = 1.0  # any positive distance: keeps the inverse power finite
     # floor keeps the inverse power finite for near-coincident points
-    w = np.maximum(d2, 1e-18, out=d2) ** (-1.0 / (fuzzifier - 1.0))
-    return w / _row_sums(w)[:, None]
-
-
-def _fcm_memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> np.ndarray:
-    d2 = squared_distances(points, centers)
-    exact = d2 == 0.0
-    hit = _row_sums(exact)
-    if not hit.any():
-        return _fcm_weights(d2, fuzzifier)
-    u = np.zeros_like(d2)
-    u[hit] = exact[hit] / exact[hit].sum(axis=1, keepdims=True)
-    u[~hit] = _fcm_weights(d2[~hit], fuzzifier)
+    _power(np.maximum(u, 1e-18, out=u), -1.0 / (fuzzifier - 1.0), out=w)
+    np.divide(w, _row_sums(w, row)[:, None], out=u)
+    if hits is not None:
+        u[hits] = exact / exact.sum(axis=1, keepdims=True)
     return u
 
 
@@ -130,7 +195,8 @@ def run_fcm(X: DataSet, m: int, config: FcmConfig | None = None) -> tuple[np.nda
 
     Membership rows are nonnegative and sum to 1; the result is deterministic
     for a fixed seed.  Failure to converge within the iteration cap is
-    reported with a warning and the last iterate is returned.
+    reported with a warning and the last iterate is returned.  The memberships,
+    their weights and one N-vector keep their arrays for the whole run.
     """
     if config is None:
         config = FcmConfig()
@@ -140,11 +206,13 @@ def run_fcm(X: DataSet, m: int, config: FcmConfig | None = None) -> tuple[np.nda
     points = X.points
     centers = _seed_representatives(points, m, rng)
     q = config.fuzzifier
+    u, w = np.empty((X.n_points, m)), np.empty((X.n_points, m))
+    row = np.empty(X.n_points)
     converged = False
     for _ in range(config.max_iters):
-        u = _fcm_memberships(points, centers, q)
-        w = u**q
-        new_centers = (w.T @ points) / w.sum(axis=0)[:, None]
+        _fcm_memberships(points, centers, q, u, w, row)
+        _power(u, q, out=w)
+        new_centers = (w.T @ points) / _column_sums(w, row)[:, None]
         displacement = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if displacement < config.tol:
@@ -157,19 +225,19 @@ def run_fcm(X: DataSet, m: int, config: FcmConfig | None = None) -> tuple[np.nda
             RuntimeWarning,
             stacklevel=2,
         )
-    u = _fcm_memberships(points, centers, q)
-    return centers, u
+    return centers, _fcm_memberships(points, centers, q, u, w, row)
 
 
-def compute_gammas(X: DataSet, theta0: np.ndarray, u_fcm: np.ndarray) -> np.ndarray:
-    """Membership-weighted mean squared distance to each representative."""
-    u_fcm = np.asarray(u_fcm, dtype=np.float64)
-    column_sums = u_fcm.sum(axis=0)
+def _check_column_sums(u_fcm: np.ndarray) -> np.ndarray:
+    column_sums = _column_sums(u_fcm)
     if (column_sums <= 0).any():
         j = int(np.argmax(column_sums <= 0))
         raise DegenerateDataError(f"membership column {j} has nonpositive sum")
-    d2 = squared_distances(X.points, np.asarray(theta0, dtype=np.float64))
-    gammas = (u_fcm * d2).sum(axis=0) / column_sums
+    return column_sums
+
+
+def _gammas(u_fcm: np.ndarray, d2: np.ndarray, column_sums: np.ndarray) -> np.ndarray:
+    gammas = _column_sums(u_fcm * d2) / column_sums
     if (gammas <= 0).any():
         j = int(np.argmax(gammas <= 0))
         raise DegenerateDataError(
@@ -179,14 +247,29 @@ def compute_gammas(X: DataSet, theta0: np.ndarray, u_fcm: np.ndarray) -> np.ndar
     return gammas
 
 
+def _mu(d2: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    # a min is exact in any order, so one pass down each column
+    return np.array([d2[:, j].min() for j in range(d2.shape[1])]) / np.asarray(gammas, dtype=np.float64)
+
+
+def compute_gammas(X: DataSet, theta0: np.ndarray, u_fcm: np.ndarray) -> np.ndarray:
+    """Membership-weighted mean squared distance to each representative."""
+    u_fcm = np.asarray(u_fcm, dtype=np.float64)
+    column_sums = _check_column_sums(u_fcm)
+    return _gammas(u_fcm, squared_distances(X.points, np.asarray(theta0, dtype=np.float64)), column_sums)
+
+
 def fcm_start(
     X: DataSet, m: int, fcm: FcmConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """FCM fixed point and what the start derives from it:
-    (representatives, FCM memberships, gammas, mu)."""
+    (representatives, FCM memberships, gammas, mu).  The squared distances
+    at the representatives are computed once, for both gammas and mu."""
     theta0, u_fcm = run_fcm(X, m, fcm)
-    gammas = compute_gammas(X, theta0, u_fcm)
-    return theta0, u_fcm, gammas, compute_mu(X, theta0, gammas)
+    column_sums = _check_column_sums(u_fcm)
+    d2 = squared_distances(X.points, theta0)
+    gammas = _gammas(u_fcm, d2, column_sums)
+    return theta0, u_fcm, gammas, _mu(d2, gammas)
 
 
 def compute_lambda(gammas: np.ndarray, K: float, p: float) -> float:
@@ -201,8 +284,7 @@ def compute_lambda(gammas: np.ndarray, K: float, p: float) -> float:
 
 def compute_mu(X: DataSet, theta0: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Scaled squared distance of the closest point to each representative."""
-    d2 = squared_distances(X.points, np.asarray(theta0, dtype=np.float64))
-    return d2.min(axis=0) / np.asarray(gammas, dtype=np.float64)
+    return _mu(squared_distances(X.points, np.asarray(theta0, dtype=np.float64)), gammas)
 
 
 def radius_bound(p: float) -> float:

@@ -170,11 +170,11 @@ def solve_membership_batch(d: np.ndarray, ctx: ClusterSolverContext) -> np.ndarr
     """Vectorised two-branch membership update for an array of squared distances.
 
     Each entry is the larger root of f, at least u_min, when d <= R^2, and 0
-    otherwise.
+    otherwise.  A negative or NaN distance raises ``ValueError``.
     """
     d = np.asarray(d, dtype=np.float64)
-    if (d < 0).any():
-        raise ValueError("squared distances must be nonnegative")
+    if d.size and not d.min() >= 0:  # NaN fails the comparison too
+        raise ValueError("squared distances must be nonnegative and not NaN")
     if ctx.lam == 0.0:
         return np.exp(-d / ctx.gamma)
     out = np.zeros_like(d)

@@ -8,9 +8,10 @@ derivatives come from central finite differences of the cost.  The
 weighted Cauchy-Schwarz inequality of the convexity argument is checked
 directly.  The einsum distance kernel, the full-matrix cost terms and the
 full-matrix FCM membership step are the original implementations, kept as
-the references for the library's streaming ones.  The dense fixed-point
-monitor at the end is the original full-matrix implementation, kept as the
-reference for the library's structured one.
+the references for the library's streaming ones; the allocating FCM start
+(seeding, iteration, gammas, mu) is the reference for the buffered one.  The
+dense fixed-point monitor at the end is the original full-matrix
+implementation, kept as the reference for the library's structured one.
 """
 
 import math
@@ -101,6 +102,92 @@ def full_fcm_memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: flo
         w = np.maximum(d2[rest], 1e-18) ** (-1.0 / (fuzzifier - 1.0))
         u[rest] = w / w.sum(axis=1, keepdims=True)
     return u
+
+
+# ---------------------------------------------------------------------------
+# FCM start: the allocating implementation that the buffered one in
+# spcm.initialization replaced, kept verbatim (names prefixed ``reference_``;
+# the error and warning branches, which leave every output alone, left out) as
+# the bit-for-bit reference for centres, memberships, gammas and mu.
+
+
+def reference_seed_representatives(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Distance-weighted random selection of m data points (greedy seeding)."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(m - 1):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
+def reference_row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of an (N, m) array as m - 1 elementwise column adds in index
+    order, the order numpy's ``sum(axis=1)`` uses for fewer than 8 columns.
+    On a boolean array the adds are logical ors: ``any(axis=1)``."""
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def reference_fcm_weights(d2: np.ndarray, fuzzifier: float) -> np.ndarray:
+    """FCM memberships of rows with no zero distance; overwrites ``d2``."""
+    # floor keeps the inverse power finite for near-coincident points
+    w = np.maximum(d2, 1e-18, out=d2) ** (-1.0 / (fuzzifier - 1.0))
+    return w / reference_row_sums(w)[:, None]
+
+
+def reference_fcm_memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: float) -> np.ndarray:
+    d2 = squared_distances(points, centers)
+    exact = d2 == 0.0
+    hit = reference_row_sums(exact)
+    if not hit.any():
+        return reference_fcm_weights(d2, fuzzifier)
+    u = np.zeros_like(d2)
+    u[hit] = exact[hit] / exact[hit].sum(axis=1, keepdims=True)
+    u[~hit] = reference_fcm_weights(d2[~hit], fuzzifier)
+    return u
+
+
+def reference_run_fcm(X, m: int, config) -> tuple[np.ndarray, np.ndarray]:
+    """Fuzzy c-means fixed point: (representatives, memberships)."""
+    if not 1 <= m <= X.n_points:
+        raise ValueError(f"cluster count must satisfy 1 <= m <= {X.n_points}, got {m}")
+    rng = np.random.default_rng(config.seed)
+    points = X.points
+    centers = reference_seed_representatives(points, m, rng)
+    q = config.fuzzifier
+    for _ in range(config.max_iters):
+        u = reference_fcm_memberships(points, centers, q)
+        w = u**q
+        new_centers = (w.T @ points) / w.sum(axis=0)[:, None]
+        displacement = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if displacement < config.tol:
+            break
+    u = reference_fcm_memberships(points, centers, q)
+    return centers, u
+
+
+def reference_compute_gammas(X, theta0: np.ndarray, u_fcm: np.ndarray) -> np.ndarray:
+    """Membership-weighted mean squared distance to each representative."""
+    u_fcm = np.asarray(u_fcm, dtype=np.float64)
+    column_sums = u_fcm.sum(axis=0)
+    d2 = squared_distances(X.points, np.asarray(theta0, dtype=np.float64))
+    return (u_fcm * d2).sum(axis=0) / column_sums
+
+
+def reference_compute_mu(X, theta0: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Scaled squared distance of the closest point to each representative."""
+    d2 = squared_distances(X.points, np.asarray(theta0, dtype=np.float64))
+    return d2.min(axis=0) / np.asarray(gammas, dtype=np.float64)
 
 
 def grid_largest_root(d, gamma, lam, p, n=20000):

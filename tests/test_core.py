@@ -146,6 +146,26 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             MembershipMatrix([[-0.1]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_membership_matrix_names_a_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MembershipMatrix([[0.5, 0.2], [bad, 1.0]])
+
+    @pytest.mark.parametrize("bad", [-1e-300, np.nextafter(1.0, 2.0)])
+    def test_membership_matrix_names_an_entry_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            MembershipMatrix([[0.5, 0.2], [bad, 1.0]])
+
+    def test_membership_matrix_accepts_negative_zero_and_no_points(self):
+        assert MembershipMatrix([[-0.0, 1.0]]).values[0, 0] == 0.0
+        assert MembershipMatrix(np.empty((0, 3))).n_clusters == 3
+
+    def test_membership_matrix_copies_its_input(self):
+        values = np.array([[0.25, 0.5]])
+        U = MembershipMatrix(values)
+        values[0, 0] = 1.0
+        assert U.values[0, 0] == 0.25 and not U.values.flags.writeable
+
     def test_squared_distances(self, rng):
         pts = rng.normal(size=(7, 3))
         reps = rng.normal(size=(2, 3))
@@ -196,6 +216,29 @@ class TestStreamingKernels:
         with pytest.raises(ValueError) as err:
             squared_distances(np.zeros(points_shape), np.zeros(reps_shape))
         assert str(points_shape) in str(err.value) and str(reps_shape) in str(err.value)
+
+    def test_distances_write_into_out(self, rng):
+        pts = rng.normal(size=(2 * _BLOCK + 5, 3))
+        reps = rng.normal(size=(4, 3))
+        out = np.full((pts.shape[0], 4), np.nan)
+        assert squared_distances(pts, reps, out=out) is out
+        np.testing.assert_array_equal(out, squared_distances(pts, reps))
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            pytest.param(np.empty((7, 3)), id="too-few-columns"),
+            pytest.param(np.empty((6, 4)), id="too-few-rows"),
+            pytest.param(np.empty(28), id="flat"),
+            pytest.param(np.empty((7, 4), dtype=np.float32), id="float32"),
+            pytest.param(np.empty((7, 4), order="F"), id="fortran-order"),
+            pytest.param(np.empty((7, 8))[:, ::2], id="strided-view"),
+            pytest.param([[0.0] * 4] * 7, id="list"),
+        ],
+    )
+    def test_distances_reject_a_bad_out(self, rng, out):
+        with pytest.raises(ValueError, match="out must be"):
+            squared_distances(rng.normal(size=(7, 2)), rng.normal(size=(4, 2)), out=out)
 
     def test_distances_allocate_no_difference_array(self, rng):
         n, m, l = 20_000, 4, 16

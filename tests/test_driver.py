@@ -7,6 +7,7 @@ from spcm.cli import BlobSpec, default_centers, generate_blobs
 from spcm.core import DataSet, MembershipMatrix, ModelState, squared_distances, total_cost
 from spcm.driver import (
     ActiveSetEmptyError,
+    IterationTrace,
     SolverConfig,
     deduplicate,
     run,
@@ -78,6 +79,23 @@ class TestSpcmStep:
         assert record.cost_after_u == total_cost(X, U, state0)
         assert record.cost == total_cost(X, U, state1)
         assert record.cost < record.cost_after_u
+
+    @pytest.mark.parametrize("solver", [run, run_pcm2])
+    def test_direct_steps_replay_the_run_bit_for_bit(self, blob_benchmark, solver):
+        # a step called without buffers allocates its own; the run reuses one set
+        X, _ = blob_benchmark
+        result = solver(X, 4, SolverConfig(K=0.9))
+        report = result.init_report
+        state = ModelState(report.theta0, report.gammas, report.lam, 0.5)
+        cost_before = None
+        for record in result.trace:
+            U, state, replayed = spcm_step(X, state, cost_before=cost_before)
+            for name in IterationTrace.__dataclass_fields__:
+                if name != "t":
+                    np.testing.assert_array_equal(getattr(replayed, name), getattr(record, name), err_msg=name)
+            cost_before = replayed.cost
+        np.testing.assert_array_equal(U.values, result.membership.values)
+        np.testing.assert_array_equal(state.representatives, result.state.representatives)
 
     def test_cost_before_computed_from_previous_membership(self):
         X, state = symmetric_pair_state()

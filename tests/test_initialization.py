@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spcm.initialization import (
     compute_lambda,
     compute_mu,
     default_K,
+    fcm_start,
     initialize,
     radius_bound,
     run_fcm,
@@ -21,7 +23,12 @@ from spcm.initialization import (
 )
 from spcm.membership import build_context, radius_squared, solve_membership_batch
 
-from oracles import full_fcm_memberships
+from oracles import (
+    full_fcm_memberships,
+    reference_compute_gammas,
+    reference_compute_mu,
+    reference_run_fcm,
+)
 
 mp.dps = 50
 
@@ -91,6 +98,48 @@ class TestFcmMemberships:
         u = _fcm_memberships(points, centers, fuzzifier)
         np.testing.assert_array_equal(u, full_fcm_memberships(points, centers, fuzzifier))
         np.testing.assert_array_equal(u[[3, 17, 120]], [[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1]])
+
+
+class TestBufferedStartMatchesReference:
+    """The buffered FCM start against the allocating one it replaced, bit for bit."""
+
+    @staticmethod
+    def assert_start_matches(X, m, config):
+        theta, u = run_fcm(X, m, config)
+        ref_theta, ref_u = reference_run_fcm(X, m, config)
+        np.testing.assert_array_equal(theta, ref_theta)
+        np.testing.assert_array_equal(u, ref_u)
+        gammas = compute_gammas(X, theta, u)
+        np.testing.assert_array_equal(gammas, reference_compute_gammas(X, theta, u))
+        np.testing.assert_array_equal(compute_mu(X, theta, gammas), reference_compute_mu(X, theta, gammas))
+        for got, want in zip(fcm_start(X, m, config), (theta, u, gammas, compute_mu(X, theta, gammas))):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    @pytest.mark.parametrize("l", [1, 2, 3, 7])
+    def test_blobs(self, l, m, fuzzifier):
+        rng = np.random.default_rng([l, m, int(10 * fuzzifier)])
+        centers = rng.uniform(-3.0, 3.0, size=(3, l))
+        points = np.vstack([c + 0.3 * rng.standard_normal((60, l)) for c in centers])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # an unconverged run is compared too
+            self.assert_start_matches(DataSet(points), m, FcmConfig(fuzzifier=fuzzifier, seed=l + m))
+
+    def test_more_points_than_a_reduction_buffer(self, rng):
+        blobs = np.repeat([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]], 7_000, axis=0)
+        self.assert_start_matches(DataSet(blobs + 0.5 * rng.normal(size=blobs.shape)), 3, FcmConfig(seed=4))
+
+    @pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
+    def test_points_on_a_seed_take_the_hit_path(self, fuzzifier):
+        # The seeds are data points, so the first iteration always has rows at
+        # distance 0; with every point tripled, three rows sit on each seed.
+        points = np.repeat([[0.0, 0.0], [0.1, 0.2], [3.0, 3.0], [3.2, 2.9], [6.0, 0.0]], 3, axis=0)
+        X = DataSet(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            self.assert_start_matches(X, 3, FcmConfig(fuzzifier=fuzzifier, seed=1, max_iters=1))
+        self.assert_start_matches(X, 3, FcmConfig(fuzzifier=fuzzifier, seed=1))
 
 
 class TestComputeGammas:

@@ -147,6 +147,21 @@ class TestSolveMembership:
         with pytest.raises(ValueError):
             solve_one(-0.1, ctx)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_nan_distance_rejected(self, lam):
+        # a NaN used to come back as membership 0 (lam > 0) or NaN (lam = 0)
+        c = build_context(1.0, lam, 0.5)
+        with pytest.raises(ValueError, match="nonnegative and not NaN"):
+            solve_membership_batch(np.array([0.0, np.nan]), c)
+        with pytest.raises(ValueError, match="nonnegative and not NaN"):
+            solve_membership_batch(np.array([-1e-300, 1.0]), c)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_negative_zero_and_empty_accepted(self, lam):
+        c = build_context(1.0, lam, 0.5)
+        assert solve_one(-0.0, c) == solve_one(0.0, c) > 0
+        assert solve_membership_batch(np.empty(0), c).shape == (0,)
+
 
 class TestRadiusForm:
     def test_boundary_returns_threshold_membership(self, ctx):
