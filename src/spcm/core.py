@@ -11,12 +11,12 @@ h, and so its log and power, on the active entries (u > 0) only, and an
 inactive entry contributes exactly 0.  Both kernels stream column by column:
 :func:`squared_distances` builds no N x m x l temporary and returns a
 C-contiguous (N, m) array (into ``out`` when given), and the cost adds its m
-columns elementwise instead of reducing along the short cluster axis.  One
-private helper evaluates the cost of one set of memberships under several
-sets of representatives, taking the u-only terms of h once per column: the
-loop's step uses it for its two costs, and :func:`total_cost` is its
-one-set case.  All types are immutable after construction and all
-operations are pure, so everything here is safe to evaluate concurrently.
+columns elementwise instead of reducing along the short cluster axis.  The
+u-only terms of h (its log and power) can be taken once and passed to
+:func:`total_cost` for each set of representatives that prices the same
+memberships, as the loop's step does for its two costs.  All types are
+immutable after construction and all operations are pure, so everything
+here is safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -231,60 +231,41 @@ class MembershipMatrix:
         return self.values.shape[1]
 
 
-def _active_columns(u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row indices and values of each column's active (u > 0) entries."""
-    columns = []
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        active = np.flatnonzero(col > 0)
-        columns.append((active, col[active]))
-    return columns
+def _active(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and values of a membership column's active (u > 0) entries."""
+    active = np.flatnonzero(col > 0)
+    return active, col[active]
 
 
-def _costs(
+def _cost_terms(
+    columns: list[tuple[np.ndarray, np.ndarray]], state: ModelState
+) -> list[tuple[np.ndarray, ...]]:
+    """Each column's active indices and values (see :func:`_active`) with its
+    u-only terms of h: gamma*(u*ln(u) - u) and lam*u**p."""
+    return [
+        (active, u_a, gamma * (u_a * np.log(u_a) - u_a), state.lam * u_a**state.p)
+        for (active, u_a), gamma in zip(columns, state.gammas)
+    ]
+
+
+def total_cost(
     X: DataSet,
+    U: MembershipMatrix,
     state: ModelState,
-    representatives: tuple[np.ndarray, ...],
-    columns: list[tuple[np.ndarray, np.ndarray]],
-    distances: tuple[np.ndarray, ...] | None = None,
-    point_costs: tuple[np.ndarray, ...] | None = None,
-) -> list[float]:
-    """Cost of the memberships ``columns`` (see :func:`_active_columns`)
-    under ``state`` with each array of ``representatives``.
-
-    Each cost sums the per-point costs sum_j h(u_ij; d_ij) over the points.
-    h, with its log and power, is evaluated on the active entries of each
-    column only, and its u-only terms gamma*(u*ln(u) - u) and lam*u**p once
-    per column for all the costs; each entry adds (u*d + entropy) + sparsity.
-    The columns are added in index order, which is the order numpy's
-    ``sum(axis=1)`` uses for fewer than 8 clusters.  ``distances``, one
-    (N, m) array per representative array, and ``point_costs``, one N-vector
-    each, are scratch space, allocated when not given.
-    """
-    if distances is None:
-        distances = [None] * len(representatives)
-    distances = [squared_distances(X.points, theta, out=d) for theta, d in zip(representatives, distances)]
-    if point_costs is None:
-        point_costs = [np.empty(X.n_points) for _ in representatives]
-    for costs in point_costs:
-        costs.fill(0.0)
-    for j, ((active, u_a), gamma) in enumerate(zip(columns, state.gammas)):
-        entropy = gamma * (u_a * np.log(u_a) - u_a)
-        sparsity = state.lam * u_a**state.p
-        for d, costs in zip(distances, point_costs):
-            term = u_a * d[:, j][active]
-            term += entropy
-            term += sparsity
-            np.add.at(costs, active, term)  # costs[active] += term: the indices are distinct
-    return [float(costs.sum()) for costs in point_costs]
-
-
-def total_cost(X: DataSet, U: MembershipMatrix, state: ModelState) -> float:
+    *,
+    _terms: list[tuple[np.ndarray, ...]] | None = None,
+) -> float:
     """Full cost, accumulated points-outer / clusters-inner.
 
     The accumulation order is fixed so traces are bit-reproducible on a given
-    platform.  Log and power run on the active entries (u > 0) only; an
-    inactive entry adds exactly 0.
+    platform: each entry adds (u*d + entropy) + sparsity, and each point
+    adds its clusters in index order, the order numpy's ``sum(axis=1)``
+    uses for fewer than 8 clusters.  Log and power run on the active
+    entries (u > 0) only; an inactive entry adds exactly 0.
+
+    ``_terms``, the :func:`_cost_terms` of ``U`` under ``state``'s gammas,
+    lam and p, lets a caller that prices one ``U`` at several
+    representative arrays take the log and power once.
     """
     u = U.values
     if u.shape[0] != X.n_points:
@@ -293,4 +274,13 @@ def total_cost(X: DataSet, U: MembershipMatrix, state: ModelState) -> float:
         raise ValueError(f"membership columns ({u.shape[1]}) do not match clusters ({state.n_clusters})")
     if X.n_dims != state.n_dims:
         raise ValueError(f"point dimension ({X.n_dims}) does not match representatives ({state.n_dims})")
-    return _costs(X, state, (state.representatives,), _active_columns(u))[0]
+    if _terms is None:
+        _terms = _cost_terms([_active(u[:, j]) for j in range(u.shape[1])], state)
+    d = squared_distances(X.points, state.representatives)
+    costs = np.zeros(X.n_points)
+    for j, (active, u_a, entropy, sparsity) in enumerate(_terms):
+        term = u_a * d[:, j][active]
+        term += entropy
+        term += sparsity
+        np.add.at(costs, active, term)  # costs[active] += term: the indices are distinct
+    return float(costs.sum())

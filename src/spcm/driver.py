@@ -20,11 +20,8 @@ validation, so its occurrence aborts the run with diagnostics attached
 rather than silently freezing the cluster.
 
 A step reads its active counts and band check off each solver column as it
-is stored, and evaluates both of its costs in one pass over the memberships
-(``spcm.core``).  :func:`run` reuses one set of step buffers (the squared
-distances at the incoming and the new representatives, the per-point costs)
-across its iterations, so a step allocates only its membership matrix and
-the solver's own temporaries.
+is stored, and takes the log and power of its memberships once for both of
+its costs (``spcm.core``).
 """
 
 from __future__ import annotations
@@ -35,8 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import DataSet, MembershipMatrix, ModelState, _costs, squared_distances
-from .core import total_cost  # noqa: F401  (spcm.driver.total_cost stays importable; the step uses _costs)
+from .core import DataSet, MembershipMatrix, ModelState, _active, _cost_terms, squared_distances, total_cost
 from .initialization import FcmConfig, InitReport, initialize, radius_bound
 from .membership import ClusterSolverContext, InvalidParameterError, build_context, solve_membership_batch
 
@@ -187,22 +183,14 @@ def _solve_memberships(
     columns = []
     for j, ctx in enumerate(contexts):
         col = solve_membership_batch(d2[:, j], ctx)
-        active = np.flatnonzero(col > 0)
+        active, u_a = _active(col)
         if active.size == 0:
             raise ActiveSetEmptyError(cluster=j)
         counts[j] = active.size
-        u_a = col[active]
         in_band = in_band and bool(u_a.min() >= ctx.u_min - tol and u_a.max() <= ctx.u_max + tol)
         columns.append((active, u_a))
         U[:, j] = col
     return U, counts, in_band, columns
-
-
-def _step_buffers(n_points: int, n_clusters: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Scratch space of one step: the squared distances at the incoming and
-    at the new representatives, and the per-point costs under each."""
-    distances = (np.empty((n_points, n_clusters)), np.empty((n_points, n_clusters)))
-    return distances, (np.empty(n_points), np.empty(n_points))
 
 
 def spcm_step(
@@ -210,31 +198,28 @@ def spcm_step(
     state: ModelState,
     contexts: tuple[ClusterSolverContext, ...] | None = None,
     cost_before: float | None = None,
-    *,
-    _buffers: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | None = None,
 ) -> tuple[MembershipMatrix, ModelState, IterationTrace]:
     """One full iteration: memberships from the current representatives, then
     representatives from the new memberships.
 
     ``cost_before`` supplies the cost of the incoming (U, theta) pair so the
     record exposes the full descent chain cost_before > cost_after_u > cost.
-    The record's ``t`` is 0; :func:`run` numbers the iterations.  ``_buffers``
-    is the scratch space of :func:`_step_buffers`, which :func:`run` reuses
-    across its steps; a step without it allocates its own.
+    The record's ``t`` is 0; :func:`run` numbers the iterations.
     """
     if contexts is None:
         contexts = _build_contexts(state)
-    distances, point_costs = _buffers or _step_buffers(X.n_points, state.n_clusters)
     U, counts, u_bounds_ok, columns = _solve_memberships(
-        squared_distances(X.points, state.representatives, out=distances[0]), contexts
+        squared_distances(X.points, state.representatives), contexts
     )
     membership = MembershipMatrix._adopt(U)
+    terms = _cost_terms(columns, state)
+    cost_after_u = total_cost(X, membership, state, _terms=terms)
 
     new_reps = np.empty_like(state.representatives)
     for j in range(state.n_clusters):
-        new_reps[j] = update_theta(X, membership.values[:, j])
+        new_reps[j] = update_theta(X, U[:, j])
     state_next = replace(state, representatives=new_reps)
-    cost_after_u, cost = _costs(X, state, (state.representatives, new_reps), columns, distances, point_costs)
+    cost = total_cost(X, membership, state_next, _terms=terms)
 
     delta = np.abs(state_next.representatives - state.representatives).max(axis=1)
     bbox_tol = 1e-9 * max(X.bbox_diagonal, 1.0)
@@ -262,7 +247,6 @@ def spcm_step(
 def _iterate(X: DataSet, config: SolverConfig, report: InitReport) -> RunResult:
     state = ModelState(report.theta0, report.gammas, report.lam, config.p)
     contexts = _build_contexts(state)
-    buffers = _step_buffers(X.n_points, state.n_clusters)
     trace: list[IterationTrace] = []
     membership: MembershipMatrix | None = None
     termination = "iteration-cap"
@@ -271,9 +255,7 @@ def _iterate(X: DataSet, config: SolverConfig, report: InitReport) -> RunResult:
         cost_before = trace[-1].cost if trace else None
         membership = None  # the step does not read it; free it before the step allocates
         try:
-            membership, state, record = spcm_step(
-                X, state, contexts=contexts, cost_before=cost_before, _buffers=buffers
-            )
+            membership, state, record = spcm_step(X, state, contexts=contexts, cost_before=cost_before)
         except ActiveSetEmptyError as err:
             raise ActiveSetEmptyError(err.cluster, iteration=t, trace=trace) from None
         trace.append(replace(record, t=t))
@@ -281,7 +263,6 @@ def _iterate(X: DataSet, config: SolverConfig, report: InitReport) -> RunResult:
             termination = "converged"
             break
 
-    del buffers  # free the step's scratch before the merge allocates
     threshold = config.dedup_threshold
     if threshold is None:
         threshold = 1e-3 * X.bbox_diagonal

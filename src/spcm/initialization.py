@@ -87,38 +87,19 @@ class FcmConfig:
 
 
 def _seed_representatives(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-weighted random selection of m data points (greedy seeding).
-
-    The squared distance to a seed adds the squared coordinate differences
-    left to right, the order of numpy's row sum for fewer than 8
-    coordinates; from l = 8 on, numpy's row sum switches to an 8-way
-    unrolled order, so the seeding weights there may differ from it in the
-    last bit.
-    """
+    """Distance-weighted random selection of m data points (greedy seeding)."""
     n = points.shape[0]
-    coords = points.T
-    d2, new, diff = np.empty(n), np.empty(n), np.empty(n)
-
-    def distances_to(idx: int, out: np.ndarray) -> np.ndarray:
-        for k, c in enumerate(points[idx]):
-            np.subtract(coords[k], c, out=diff)
-            if k == 0:
-                np.square(diff, out=out)
-            else:
-                out += np.square(diff, out=diff)
-        return out
-
     chosen = [int(rng.integers(n))]
-    distances_to(chosen[0], d2)
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
     for _ in range(m - 1):
         total = d2.sum()
         if total > 0:
-            idx = int(rng.choice(n, p=np.divide(d2, total, out=new)))
+            idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        np.minimum(d2, distances_to(idx, new), out=d2)
-    return points[chosen]
+        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+    return points[chosen].copy()
 
 
 def _row_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

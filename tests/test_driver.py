@@ -82,7 +82,6 @@ class TestSpcmStep:
 
     @pytest.mark.parametrize("solver", [run, run_pcm2])
     def test_direct_steps_replay_the_run_bit_for_bit(self, blob_benchmark, solver):
-        # a step called without buffers allocates its own; the run reuses one set
         X, _ = blob_benchmark
         result = solver(X, 4, SolverConfig(K=0.9))
         report = result.init_report

@@ -19,8 +19,8 @@ The cases are the benchmark's draws (``perfbench/inputs.py``, seed 10): three
 ``cli-audit`` inputs (3 x 600 points), each run with m = 3, m = 4,
 ``run_pcm2`` and p = 0.9 and through the CLI; plus one 3-d and one 16-d blob
 set from ``spcm.cli.generate_blobs``.  A run that raises is recorded by its
-exception.  ``--quick`` skips the ``fit-large`` inputs.  Only the public API
-is used, so the script runs against any version of the package.
+exception.  Only the public API is used, so the script runs against any
+version of the package.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _guarded(fn) -> dict[str, str]:
         return {"error": hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest()}
 
 
-def collect(quick: bool) -> dict[str, dict[str, str]]:
+def collect() -> dict[str, dict[str, str]]:
     spcm = importlib.import_module("spcm")
     cli = importlib.import_module("spcm.cli")
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -108,11 +108,10 @@ def collect(quick: bool) -> dict[str, dict[str, str]]:
         cases[name] = _guarded(digest)
 
     cases: dict[str, dict[str, str]] = {}
-    if not quick:
-        for k in range(3):
-            X = spcm.DataSet(inputs.make_blobs(inputs.triangle_centers(), 30_000, [SEED, k]).points)
-            library_cases(f"fit-large/{k}/m3", X, 3, p=0.5, K=0.9)
-            fcm_case(f"fit-large/{k}/fcm_start", X, 3)
+    for k in range(3):
+        X = spcm.DataSet(inputs.make_blobs(inputs.triangle_centers(), 30_000, [SEED, k]).points)
+        library_cases(f"fit-large/{k}/m3", X, 3, p=0.5, K=0.9)
+        fcm_case(f"fit-large/{k}/fcm_start", X, 3)
     with tempfile.TemporaryDirectory() as tmp:
         for k in range(5):
             points = inputs.make_blobs(inputs.triangle_centers(), 600, [SEED, k]).points
@@ -154,13 +153,12 @@ def compare(old_path: str, new_path: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding the spcm package")
-    parser.add_argument("--quick", action="store_true", help="skip the three 3 x 30,000-point inputs")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two digest files")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    print(json.dumps(collect(args.quick), indent=1, sort_keys=True))
+    print(json.dumps(collect(), indent=1, sort_keys=True))
     return 0
 
 
