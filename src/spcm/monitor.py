@@ -20,13 +20,18 @@ of S decides; lambda_min(S) is reported as the margin.  The quadratic form is
 sampled over a small valley around the fixed point (where the cost is
 provably convex for a radius eps below 0.5*sqrt((1-p)*gamma/2), or
 0.5*sqrt(gamma/2) when lam = 0) as sum g*u'^2 + 2*(u'C).theta' +
-s*|theta'|^2, in O(k*l) per sample.  Finally the geometry is checked: active
-points lie inside the cluster's influence ball, inactive points outside.
+s*|theta'|^2, in O(k*l) per sample.  The sampler draws candidates only until
+it has the samples it keeps and skips the random stream past the rest, so
+its samples and the generator's later draws are those of drawing every
+candidate.  Finally the geometry is checked: active points lie inside the
+cluster's influence ball, inactive points outside.
 :func:`assemble_hessian` keeps the dense matrix as a reference.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +61,16 @@ class MonitorSettings:
     seed: int = 7
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.ball_samples < 0:
-            raise ValueError(f"ball_samples must be >= 0, got {self.ball_samples}")
-        if self.cross_samples < 0:
-            raise ValueError(f"cross_samples must be >= 0, got {self.cross_samples}")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        for name in ("ball_samples", "cross_samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value}")
         if not 0.0 < self.epsilon_factor <= 1.0:
             raise ValueError(f"epsilon_factor must lie in (0, 1], got {self.epsilon_factor}")
-        if not self.perturb_scale > 0:
-            raise ValueError(f"perturb_scale must be positive, got {self.perturb_scale}")
+        if not 0 < self.perturb_scale < math.inf:
+            raise ValueError(f"perturb_scale must be positive and finite, got {self.perturb_scale}")
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,20 @@ def _is_positive_definite(H: np.ndarray) -> bool:
         return False
 
 
+def _skip_doubles(rng: np.random.Generator, count: int) -> None:
+    """Move ``rng`` past ``count`` doubles as if ``rng.uniform`` had drawn them.
+
+    Each double takes one 64-bit output, which ``advance`` skips; ``advance``
+    also drops the 32-bit half that a bounded ``integers`` draw may have
+    buffered, so that half is put back.
+    """
+    bitgen = rng.bit_generator
+    before = bitgen.state
+    bitgen.advance(count)
+    if before["has_uint32"]:
+        bitgen.state = {**bitgen.state, "has_uint32": before["has_uint32"], "uinteger": before["uinteger"]}
+
+
 def _valley_samples(
     X: DataSet,
     u_star: np.ndarray,
@@ -201,30 +220,52 @@ def _valley_samples(
     """Sample (u', theta') pairs with u' in the attainable band and the
     weighted mean of u' within eps of theta*; theta' is that weighted mean.
 
-    Each pass draws max(n, 4*(n - found)) candidates at half the previous
-    step; the result is the first n admissible ones in draw order.
+    Each pass stands for max(n, 4*(n - found)) candidate rows at half the
+    previous step; the result is the first n admissible ones in draw order.
+    A pass draws its rows in rounds (n - found rows, then twice as many,
+    never past the pass) and stops at the n-th admissible row.  It skips the
+    stream of the rows it never draws, so the generator ends where drawing
+    every row would leave it; the skip needs a bit generator whose
+    ``advance(d)`` passes d doubles, as PCG64 (``default_rng``) does.  The
+    weighted means of a round's rows come from a product of the pass's full
+    shape, the undrawn rows held at zero or at an earlier pass's finite
+    values: BLAS may round a row differently in a product of another shape.
     """
     pts = X.points[active]
+    k = u_star.size
+    # the undrawn rows stay on zero pages that are never made resident
+    cand = np.zeros((4 * n, k))
+    chunk = max(1, 2**16 // k)
     u_kept: list[np.ndarray] = []
     th_kept: list[np.ndarray] = []
     found = 0
     step = scale
     while found < n and step > 1e-12:
         draw = max(n, 4 * (n - found))
-        cand = rng.uniform(-step, step, size=(draw, u_star.size))
-        cand += 1.0
-        cand *= u_star
-        np.clip(cand, lo, hi, out=cand)
-        sums = cand.sum(axis=1)
-        means = cand @ pts
-        means /= sums[:, None]
-        keep = np.flatnonzero(np.linalg.norm(means - theta_star, axis=1) < eps)[: n - found]
-        u_kept.append(cand[keep])
-        th_kept.append(means[keep])
-        found += keep.size
+        drawn, rows = 0, n - found
+        while found < n and drawn < draw:
+            stop = min(drawn + rows, draw)
+            # a bounded chunk at a time, so no second round-sized array is resident
+            for a in range(drawn, stop, chunk):
+                cand[a:min(a + chunk, stop)] = rng.uniform(-step, step, size=(min(chunk, stop - a), k))
+            block = cand[drawn:stop]
+            block += 1.0
+            block *= u_star
+            np.clip(block, lo, hi, out=block)
+            means = (cand[:draw] @ pts)[drawn:stop]
+            means /= block.sum(axis=1)[:, None]
+            keep = np.flatnonzero(np.linalg.norm(means - theta_star, axis=1) < eps)[: n - found]
+            u_kept.append(block[keep])
+            th_kept.append(means[keep])
+            found += keep.size
+            drawn, rows = stop, 2 * rows
+        if drawn < draw:
+            _skip_doubles(rng, (draw - drawn) * k)
         step *= 0.5
     if not u_kept:
-        return np.empty((0, u_star.size)), np.empty((0, theta_star.size))
+        return np.empty((0, k)), np.empty((0, theta_star.size))
+    if len(u_kept) == 1:  # the common case: no second copy of the kept rows
+        return u_kept[0], th_kept[0]
     return np.concatenate(u_kept), np.concatenate(th_kept)
 
 

@@ -223,10 +223,16 @@ class TestMonitorSettings:
             ("epsilon_factor", 1.5),
             ("perturb_scale", 0.0),
             ("perturb_scale", -0.05),
+            ("ball_samples", 2.5),
+            ("cross_samples", 1.5),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("perturb_scale", np.inf),
+            ("grad_tol", np.inf),
         ],
     )
     def test_rejects_values_that_corrupt_verdicts(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=f"^{field} "):
             MonitorSettings(**{field: value})
 
     def test_accepts_boundary_values(self):
@@ -240,6 +246,32 @@ def _cluster_blocks(X, state, U, j=0):
         X.points[active], values[active, j], state.representatives[j],
         float(state.gammas[j]), state.lam, state.p,
     )
+
+
+class CountingGenerator:
+    """A ``default_rng`` that counts what its ``uniform`` draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.rows_drawn = 0
+        self.doubles_drawn = 0
+
+    def uniform(self, low, high, size):
+        self.rows_drawn += size[0]
+        self.doubles_drawn += int(np.prod(size))
+        return self.rng.uniform(low, high, size=size)
+
+
+def _valley_args(converged, n, scale, eps_factor):
+    """``_valley_samples`` arguments, less the generator, for each cluster of a converged run."""
+    X, result = converged
+    state, values = result.state, result.membership.values
+    for j in range(state.n_clusters):
+        active = np.nonzero(values[:, j] > 0)[0]
+        lo = (state.lam * (1 - state.p) / state.gammas[j]) ** (1 / (1 - state.p))
+        eps = eps_factor * epsilon_bound(state, j)
+        yield X, values[active, j], state.representatives[j], active, lo, 1.0, eps, n, scale
 
 
 class TestStructuredHessian:
@@ -287,6 +319,42 @@ class TestStructuredHessian:
             u_old, th_old = dense_valley_samples(*args, np.random.default_rng(3))
             np.testing.assert_array_equal(u_new, u_old)
             np.testing.assert_array_equal(th_new, th_old)
+
+    @pytest.mark.parametrize(
+        "n, scale, eps_factor",
+        [(1000, 0.05, 0.99), (50, 0.05, 0.99), (1000, 3.0, 0.99), (50, 3.0, 0.99), (0, 0.05, 0.99),
+         (50, 3.0, 0.01), (1000, 0.5, 0.01)],
+    )
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-uint32"])
+    def test_valley_sampler_leaves_the_generator_where_the_dense_sampler_does(
+        self, converged, n, scale, eps_factor, buffered
+    ):
+        # eps_factor 0.01 admits a fraction of each round, so later rounds
+        # and passes run; a bounded integers draw first leaves half of a
+        # 64-bit output buffered, which skipping the stream must keep
+        for j, args in enumerate(_valley_args(converged, n, scale, eps_factor)):
+            rng_new, rng_old = CountingGenerator(3), np.random.default_rng(3)
+            if buffered:
+                rng_new.rng.integers(0, 10)
+                rng_old.integers(0, 10)
+            u_new, _ = _valley_samples(*args, rng_new)
+            u_old, _ = dense_valley_samples(*args, rng_old)
+            np.testing.assert_array_equal(u_new, u_old)
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state, j
+            if eps_factor < 0.1:
+                # the first pass drew all of its 4n rows, so it took more
+                # than one round, and a second pass followed
+                assert rng_new.rows_drawn > 4 * n
+
+    def test_valley_sampler_draws_no_more_than_it_keeps(self, converged):
+        # every candidate is admissible here, so only the n kept rows are drawn
+        n = 1000
+        for args in _valley_args(converged, n, 0.05, 0.99):
+            rng = CountingGenerator(3)
+            u_samp, _ = _valley_samples(*args, rng)
+            k = args[1].size
+            assert u_samp.shape == (n, k)
+            assert rng.doubles_drawn == n * k
 
     def test_interior_probes_use_the_hessian_at_each_sampled_state(self, converged, monkeypatch):
         X, result = converged

@@ -18,9 +18,14 @@ The cases are the benchmark's draws (``perfbench/inputs.py``, seed 10): three
 ``fit-large`` inputs (3 x 30,000 points) run with m = 3, and five
 ``cli-audit`` inputs (3 x 600 points), each run with m = 3, m = 4,
 ``run_pcm2`` and p = 0.9 and through the CLI; plus one 3-d and one 16-d blob
-set from ``spcm.cli.generate_blobs``.  A run that raises is recorded by its
-exception.  Only the public API is used, so the script runs against any
-version of the package.
+set from ``spcm.cli.generate_blobs``.  Every library run but the
+``fit-large`` ones, where the monitor would add seconds and hundreds of
+megabytes per case, also gets a ``<case>/monitor`` entry: each field of
+``check_fixed_point``'s report at default settings.  The ``cli-audit`` m = 3
+runs get a ``<case>/monitor-narrow`` entry too, whose small valley radius
+admits a fraction of the sampled candidates.  A run that raises is recorded
+by its exception.  Only the public API is used, so the script runs
+against any version of the package.
 """
 
 from __future__ import annotations
@@ -81,11 +86,23 @@ def digest_result(result) -> dict[str, str]:
     return _digests(parts)
 
 
+def digest_fields(value) -> dict[str, str]:
+    """Digest of every field of a dataclass such as a ``FixedPointReport``."""
+    parts: dict[str, list[bytes]] = {}
+    for f in dataclasses.fields(value):
+        _flatten(getattr(value, f.name), f.name, parts)
+    return _digests(parts)
+
+
+def _error_digest(exc: Exception) -> dict[str, str]:
+    return {"error": hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest()}
+
+
 def _guarded(fn) -> dict[str, str]:
     try:
         return fn()
     except Exception as exc:  # a raising run is an output too
-        return {"error": hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest()}
+        return _error_digest(exc)
 
 
 def collect() -> dict[str, dict[str, str]]:
@@ -94,9 +111,22 @@ def collect() -> dict[str, dict[str, str]]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     inputs = importlib.import_module("inputs")
 
-    def library_cases(name: str, X, m: int, algorithm: str = "run", **config) -> None:
+    def monitor_case(name: str, X, result, **settings) -> None:
+        cases[name] = _guarded(lambda: digest_fields(
+            spcm.check_fixed_point(X, result.state, result.membership, spcm.MonitorSettings(**settings))
+        ))
+
+    def library_cases(name: str, X, m: int, algorithm: str = "run", monitor: bool = True, **config):
         solver = getattr(spcm, algorithm)
-        cases[name] = _guarded(lambda: digest_result(solver(X, m, spcm.SolverConfig(**config))))
+        try:
+            result = solver(X, m, spcm.SolverConfig(**config))
+        except Exception as exc:  # a raising run is an output too
+            cases[name] = _error_digest(exc)
+            return None
+        cases[name] = digest_result(result)
+        if monitor:
+            monitor_case(f"{name}/monitor", X, result)
+        return result
 
     def fcm_case(name: str, X, m: int) -> None:
         def digest():
@@ -110,13 +140,16 @@ def collect() -> dict[str, dict[str, str]]:
     cases: dict[str, dict[str, str]] = {}
     for k in range(3):
         X = spcm.DataSet(inputs.make_blobs(inputs.triangle_centers(), 30_000, [SEED, k]).points)
-        library_cases(f"fit-large/{k}/m3", X, 3, p=0.5, K=0.9)
+        library_cases(f"fit-large/{k}/m3", X, 3, monitor=False, p=0.5, K=0.9)
         fcm_case(f"fit-large/{k}/fcm_start", X, 3)
     with tempfile.TemporaryDirectory() as tmp:
         for k in range(5):
             points = inputs.make_blobs(inputs.triangle_centers(), 600, [SEED, k]).points
             X = spcm.DataSet(points)
-            library_cases(f"cli-audit/{k}/m3", X, 3, p=0.5, K=0.9)
+            result = library_cases(f"cli-audit/{k}/m3", X, 3, p=0.5, K=0.9)
+            if result is not None:
+                # a narrow valley admits a fraction of each round: later rounds and passes run
+                monitor_case(f"cli-audit/{k}/m3/monitor-narrow", X, result, epsilon_factor=0.005, perturb_scale=1.0)
             library_cases(f"cli-audit/{k}/m4", X, 4, p=0.5, K=0.9)
             library_cases(f"cli-audit/{k}/pcm2", X, 3, "run_pcm2", p=0.5)
             library_cases(f"cli-audit/{k}/p0.9", X, 3, p=0.9)
