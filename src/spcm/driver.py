@@ -21,7 +21,11 @@ rather than silently freezing the cluster.
 
 A step reads its active counts and band check off each solver column as it
 is stored, and takes the log and power of its memberships once for both of
-its costs (``spcm.core``).
+its costs (``spcm.core``).  A run allocates the membership solver's
+workspace once, for its N points, and passes it to every step as the
+private ``_work``; each solve then computes in place in its rows
+(``spcm.membership``) instead of faulting in fresh pages for its
+temporaries.  A step called without it lets each solve allocate its own.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .core import DataSet, MembershipMatrix, ModelState, _active, _cost_terms, squared_distances, total_cost
 from .initialization import FcmConfig, InitReport, initialize, radius_bound
-from .membership import ClusterSolverContext, InvalidParameterError, build_context, solve_membership_batch
+from .membership import ClusterSolverContext, InvalidParameterError, _workspace, build_context, solve_membership_batch
 
 __all__ = [
     "ActiveSetEmptyError",
@@ -166,15 +170,16 @@ def _build_contexts(state: ModelState) -> tuple[ClusterSolverContext, ...]:
 
 
 def _solve_memberships(
-    d2: np.ndarray, contexts: tuple[ClusterSolverContext, ...]
+    d2: np.ndarray, contexts: tuple[ClusterSolverContext, ...], work: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, bool, list[tuple[np.ndarray, np.ndarray]]]:
     """Memberships at squared distances ``d2``, one solver column at a time.
 
     Returns the (N, m) matrix, each column's active count, whether every
-    active entry lies in its cluster's band [u_min, u_max] up to rounding,
-    and each column's active indices and values (the cost's input).  All
-    of it is read off each contiguous solver column before it is stored; a
-    column with no active point raises.
+    active entry lies in its cluster's band [u_min, u_max] up to a relative
+    1e-9, and each column's active indices and values (the cost's input).
+    All of it is read off each contiguous solver column before it is
+    stored; a column with no active point raises.  ``work`` is the solver's
+    workspace (:func:`spcm.membership.solve_membership_batch`).
     """
     tol = 1e-9
     U = np.empty_like(d2)
@@ -182,12 +187,13 @@ def _solve_memberships(
     in_band = True
     columns = []
     for j, ctx in enumerate(contexts):
-        col = solve_membership_batch(d2[:, j], ctx)
+        col = solve_membership_batch(d2[:, j], ctx, _work=work)
         active, u_a = _active(col)
         if active.size == 0:
             raise ActiveSetEmptyError(cluster=j)
         counts[j] = active.size
-        in_band = in_band and bool(u_a.min() >= ctx.u_min - tol and u_a.max() <= ctx.u_max + tol)
+        # relative: at p near 1 the band is far narrower than any absolute slack
+        in_band = in_band and bool(u_a.min() >= ctx.u_min * (1.0 - tol) and u_a.max() <= ctx.u_max * (1.0 + tol))
         columns.append((active, u_a))
         U[:, j] = col
     return U, counts, in_band, columns
@@ -198,18 +204,23 @@ def spcm_step(
     state: ModelState,
     contexts: tuple[ClusterSolverContext, ...] | None = None,
     cost_before: float | None = None,
+    *,
+    _work: np.ndarray | None = None,
 ) -> tuple[MembershipMatrix, ModelState, IterationTrace]:
     """One full iteration: memberships from the current representatives, then
     representatives from the new memberships.
 
     ``cost_before`` supplies the cost of the incoming (U, theta) pair so the
     record exposes the full descent chain cost_before > cost_after_u > cost.
-    The record's ``t`` is 0; :func:`run` numbers the iterations.
+    The record's ``t`` is 0; :func:`run` numbers the iterations.  ``_work``
+    is the membership solver's workspace for X's points, which a run
+    allocates once and passes to every step; without it each solve
+    allocates its own.
     """
     if contexts is None:
         contexts = _build_contexts(state)
     U, counts, u_bounds_ok, columns = _solve_memberships(
-        squared_distances(X.points, state.representatives), contexts
+        squared_distances(X.points, state.representatives), contexts, _work
     )
     membership = MembershipMatrix._adopt(U)
     terms = _cost_terms(columns, state)
@@ -247,6 +258,7 @@ def spcm_step(
 def _iterate(X: DataSet, config: SolverConfig, report: InitReport) -> RunResult:
     state = ModelState(report.theta0, report.gammas, report.lam, config.p)
     contexts = _build_contexts(state)
+    work = _workspace(X.n_points)  # the solver's scratch, for the whole run
     trace: list[IterationTrace] = []
     membership: MembershipMatrix | None = None
     termination = "iteration-cap"
@@ -255,7 +267,7 @@ def _iterate(X: DataSet, config: SolverConfig, report: InitReport) -> RunResult:
         cost_before = trace[-1].cost if trace else None
         membership = None  # the step does not read it; free it before the step allocates
         try:
-            membership, state, record = spcm_step(X, state, contexts=contexts, cost_before=cost_before)
+            membership, state, record = spcm_step(X, state, contexts=contexts, cost_before=cost_before, _work=work)
         except ActiveSetEmptyError as err:
             raise ActiveSetEmptyError(err.cluster, iteration=t, trace=trace) from None
         trace.append(replace(record, t=t))

@@ -27,6 +27,17 @@ takes the nonzero branch (closed ball), where u2 = u_min; the root is
 clamped to at least u_min so rounding cannot take it below the band.  With
 lam == 0 the solver reduces to exp(-d/gamma): u_min = 0, u_max = 1 and the
 radius is infinite, so every point keeps a positive membership.
+
+The kernel computes in place: each intermediate of the root lives in a row
+of a workspace, and each expression keeps the operation order of its plain
+array form, so the memberships are the same bits as that form gives.  A
+caller that solves many columns of the same length, as a run does for every
+cluster at every step, allocates the workspace once (``_workspace``) and
+passes it as ``_work``.  The solve then copies its distance column once into
+a contiguous row and runs every later pass on contiguous memory; the one
+array it allocates holds the distances inside the ball, which numpy cannot
+gather into a given array.  Without ``_work`` each call allocates its own
+workspace.
 """
 
 from __future__ import annotations
@@ -47,6 +58,10 @@ __all__ = [
 # Halley steps for W0; from the starting points in _lambert_w0 three reach
 # the float floor over the whole branch.
 _HALLEY_STEPS = 3
+
+# Rows of a solver workspace: the distances in and memberships out, six rows
+# of the root's intermediates and one of flags (see _workspace).
+_WORK_ROWS = 8
 
 
 class InvalidParameterError(ValueError):
@@ -85,35 +100,99 @@ def radius_squared(gamma: float, lam: float, p: float) -> float:
     return (gamma / (1.0 - p)) * (-math.log(lam * (1.0 - p) / gamma) - p)
 
 
-def _lambert_w0(z: np.ndarray) -> np.ndarray:
+def _workspace(n: int) -> np.ndarray:
+    """Scratch for :func:`solve_membership_batch` on up to n distances.
+
+    Row 0 takes the distances and returns the memberships, rows 1-6 hold
+    the root's intermediates, and the last row is read as eight rows of
+    flags.  A caller that solves many columns of n points allocates it once
+    and passes it as ``_work``.
+    """
+    return np.empty((_WORK_ROWS, n))
+
+
+def _lambert_w0(z: np.ndarray, work: np.ndarray, flag: np.ndarray) -> np.ndarray:
     """Principal branch W0 of the Lambert W function on [-1/e, 0].
 
     Halley iteration (Corless et al., "On the Lambert W function", Adv.
     Comput. Math. 5, 1996), started from the branch-point series for
     z < -0.25 and from z*(1-z) otherwise.  At the branch point z = -1/e
-    (q = 0) the start is W0 = -1 and every step is skipped, not divided by
-    zero; a z rounded past it is treated the same way.
+    (q = 0) the start is W0 = -1 and every step is exactly 0, not a division
+    by zero; a z rounded past it is treated the same way.
+
+    In place: W0 of the k entries of z goes into ``work[0, :k]``, which is
+    returned; ``work[1:5, :k]`` and ``flag[:k]`` (bool) are scratch.  Each
+    expression keeps the operation order of its textbook form, so the
+    result does not depend on the buffers.
     """
-    q = np.sqrt(np.maximum(2.0 * (1.0 + math.e * z), 0.0))
-    w = np.where(z < -0.25, -1.0 + q * (1.0 - q * (1.0 / 3.0 - q * (11.0 / 72.0))), z * (1.0 - z))
+    k = z.size
+    w, ew, residual, a, b = (row[:k] for row in work[:5])
+    flag = flag[:k]
+    # q = sqrt(max(2*(1 + e*z), 0)); the series -1 + q*(1 - q*(1/3 - q*11/72))
+    np.multiply(z, math.e, out=a)
+    np.add(a, 1.0, out=a)
+    np.multiply(a, 2.0, out=a)
+    np.maximum(a, 0.0, out=a)
+    np.sqrt(a, out=a)
+    np.multiply(a, 11.0 / 72.0, out=b)
+    np.subtract(1.0 / 3.0, b, out=b)
+    np.multiply(a, b, out=b)
+    np.subtract(1.0, b, out=b)
+    np.multiply(a, b, out=b)
+    np.add(b, -1.0, out=b)
+    np.subtract(1.0, z, out=w)
+    np.multiply(z, w, out=w)
+    np.less(z, -0.25, out=flag)
+    np.copyto(w, b, where=flag)
     for _ in range(_HALLEY_STEPS):
-        ew = np.exp(w)
-        residual = w * ew - z
-        num = 2.0 * (w + 1.0) * residual
-        den = 2.0 * (w + 1.0) ** 2 * ew - (w + 2.0) * residual
-        w = w - np.divide(num, den, out=np.zeros_like(w), where=den != 0.0)
+        np.exp(w, out=ew)
+        np.multiply(w, ew, out=residual)
+        np.subtract(residual, z, out=residual)  # w*e^w - z
+        np.add(w, 1.0, out=a)
+        np.multiply(a, a, out=b)
+        np.multiply(b, 2.0, out=b)
+        np.multiply(b, ew, out=b)
+        np.add(w, 2.0, out=ew)
+        np.multiply(ew, residual, out=ew)
+        np.subtract(b, ew, out=b)  # den = 2*(w+1)**2*e^w - (w+2)*residual
+        np.multiply(a, 2.0, out=a)
+        np.multiply(a, residual, out=a)  # num = 2*(w+1)*residual
+        np.equal(b, 0.0, out=flag)
+        if flag.any():  # 0/1: the step is exactly 0 where den == 0
+            np.copyto(a, 0.0, where=flag)
+            np.copyto(b, 1.0, where=flag)
+        np.divide(a, b, out=a)
+        np.subtract(w, a, out=w)
     return w
 
 
-def _largest_root(d: np.ndarray, gamma: float, lam: float, p: float) -> np.ndarray:
+def _largest_root(
+    d: np.ndarray, gamma: float, lam: float, p: float, work: np.ndarray, flag: np.ndarray
+) -> np.ndarray:
     """Closed-form larger root u2 of f (module docstring) for each entry of d.
 
-    Needs lam > 0 and d <= R^2, where z is at or above -1/e.
+    Needs lam > 0 and d <= R^2, where z is at or above -1/e.  In place: the
+    k roots go into ``work[1, :k]``, which is returned; ``work[:6, :k]`` and
+    ``flag[:k]`` are scratch, and d is only read.
     """
+    k = d.size
     one_minus_p = 1.0 - p
-    # ln(-z), capped at -1 so z never passes the branch point -1/e
-    log_minus_z = np.minimum(math.log(one_minus_p * lam * p / gamma) + one_minus_p * d / gamma, -1.0)
-    return np.exp(_lambert_w0(-np.exp(log_minus_z)) / one_minus_p - d / gamma)
+    z = work[0, :k]
+    # ln(-z) = ln((1-p)*lam*p/gamma) + (1-p)*d/gamma, capped at -1 so z never
+    # passes the branch point -1/e
+    np.multiply(d, one_minus_p, out=z)
+    np.divide(z, gamma, out=z)
+    np.add(z, math.log(one_minus_p * lam * p / gamma), out=z)
+    np.minimum(z, -1.0, out=z)
+    np.exp(z, out=z)
+    np.negative(z, out=z)
+    w = _lambert_w0(z, work[1:6], flag)
+    # exp(W0(z)/(1-p) - d/gamma)
+    np.divide(w, one_minus_p, out=w)
+    np.divide(d, gamma, out=z)
+    np.subtract(w, z, out=w)
+    np.exp(w, out=w)
+    return w
 
 
 def build_context(gamma: float, lam: float, p: float) -> ClusterSolverContext:
@@ -161,24 +240,45 @@ def build_context(gamma: float, lam: float, p: float) -> ClusterSolverContext:
         p=float(p),
         u_hat=u_hat,
         u_min=u_min,
-        u_max=float(_largest_root(np.zeros(1), gamma, lam, p)[0]),
+        u_max=float(_largest_root(np.zeros(1), gamma, lam, p, np.empty((6, 1)), np.empty(1, dtype=bool))[0]),
         radius_sq=r_sq,
     )
 
 
-def solve_membership_batch(d: np.ndarray, ctx: ClusterSolverContext) -> np.ndarray:
+def solve_membership_batch(
+    d: np.ndarray, ctx: ClusterSolverContext, *, _work: np.ndarray | None = None
+) -> np.ndarray:
     """Vectorised two-branch membership update for an array of squared distances.
 
     Each entry is the larger root of f, at least u_min, when d <= R^2, and 0
     otherwise.  A negative or NaN distance raises ``ValueError``.
+
+    ``_work``, a :func:`_workspace` of at least ``d.size`` columns, holds
+    every intermediate: d is read once, into row 0, and the result is
+    returned in that row, valid until the next call with the same
+    workspace.  Without it the result is a new array.
     """
     d = np.asarray(d, dtype=np.float64)
-    if d.size and not d.min() >= 0:  # NaN fails the comparison too
+    n = d.size
+    if _work is None:
+        u = np.array(d, order="C").reshape(n)
+        work = np.empty((_WORK_ROWS - 1, n))
+    else:
+        u, work = _work[0, :n], _work[1:]
+        np.copyto(u.reshape(d.shape), d)
+    if n and not u.min() >= 0:  # NaN fails the comparison too
         raise ValueError("squared distances must be nonnegative and not NaN")
     if ctx.lam == 0.0:
-        return np.exp(-d / ctx.gamma)
-    out = np.zeros_like(d)
-    inside = d <= ctx.radius_sq
-    if inside.any():
-        out[inside] = np.maximum(_largest_root(d[inside], ctx.gamma, ctx.lam, ctx.p), ctx.u_min)
-    return out
+        # exp(-d/gamma)
+        np.negative(u, out=u)
+        np.divide(u, ctx.gamma, out=u)
+        np.exp(u, out=u)
+        return u.reshape(d.shape)
+    flags = work[-1].view(np.bool_).reshape(8, -1)
+    inside = np.less_equal(u, ctx.radius_sq, out=flags[0, :n])
+    # numpy cannot compact into a given array, so the distances inside are new
+    root = _largest_root(u[inside], ctx.gamma, ctx.lam, ctx.p, work[:6], flags[1])
+    np.maximum(root, ctx.u_min, out=root)
+    u.fill(0.0)
+    u[inside] = root
+    return u.reshape(d.shape)

@@ -85,8 +85,9 @@ class FixedPointReport:
     active_counts: np.ndarray
     geometric_ok: bool
     per_cluster_hessian_ok: tuple[bool, ...]
-    # lambda_min of the Schur complement when every g > 0, else min g:
-    # positive for the clusters that pass, up to rounding at zero
+    # lambda_min of the Schur complement when every g > 0, else min g, and
+    # -inf for a cluster with no active point: positive for the clusters
+    # that pass, up to rounding at zero
     per_cluster_pd_margin: tuple[float, ...]
     # admissible valley samples found (at most MonitorSettings.ball_samples)
     per_cluster_valley_samples: tuple[int, ...]
@@ -277,22 +278,26 @@ def check_fixed_point(
 ) -> FixedPointReport:
     """Run every diagnostic against a terminated state.
 
-    Failures are report fields, never exceptions: the gradient residual and
-    its tolerance flag, per-cluster positive-definiteness (g > 0 and a
-    Cholesky factorisation of the l x l Schur complement), the sampled
-    quadratic-form positivity over the convexity valley (both against the
-    fixed-point Hessian and against Hessians at sampled interior states,
-    whose pairwise separation can reach twice the sampling radius), and the
-    ball geometry of active/inactive points.  No (k+l) x (k+l) matrix is
-    built: every check works on the blocks (g, C, s).
+    Failures are report fields, never exceptions: the gradient residual
+    (``inf`` when a cluster has no active point) and its tolerance flag,
+    per-cluster positive-definiteness (g > 0 and a Cholesky factorisation
+    of the l x l Schur complement), the sampled quadratic-form positivity
+    over the convexity valley (both against the fixed-point Hessian and
+    against Hessians at sampled interior states, whose pairwise separation
+    can reach twice the sampling radius), and the ball geometry of
+    active/inactive points.  A cluster with no active point fails every
+    check but the geometry, which is still checked over its points.  No
+    (k+l) x (k+l) matrix is built: every check works on the blocks (g, C, s).
     """
     if settings is None:
         settings = MonitorSettings()
     values = _membership_values(U)
     rng = np.random.default_rng(settings.seed)
     lam, p = state.lam, state.p
+    counts = (values > 0).sum(axis=0)
 
-    grad = gradient_residual(X, state, U)
+    # a cluster with no active point has no residual: report it as unbounded
+    grad = gradient_residual(X, state, U) if counts.all() else math.inf
     d2 = squared_distances(X.points, state.representatives)
 
     per_cluster_pd: list[bool] = []
@@ -301,7 +306,6 @@ def check_fixed_point(
     valley_ok = True
     geometric_ok = True
     eps_values: list[float] = []
-    counts = (values > 0).sum(axis=0)
 
     for j in range(state.n_clusters):
         is_active = values[:, j] > 0
@@ -310,8 +314,20 @@ def check_fixed_point(
         u_star = values[active, j]
         theta_star = state.representatives[j]
         gamma = float(state.gammas[j])
-        g, C, s = _arrowhead_blocks(pts, u_star, theta_star, gamma, lam, p)
+        eps_values.append(epsilon_bound(state, j))
+        r_sq = radius_squared(gamma, lam, p)
 
+        if active.size == 0:
+            # no active block: no Hessian and no valley; only the geometry is checked
+            per_cluster_pd.append(False)
+            pd_margins.append(-math.inf)
+            sample_counts.append(0)
+            valley_ok = False
+            if not (d2[:, j] > r_sq).all():
+                geometric_ok = False
+            continue
+
+        g, C, s = _arrowhead_blocks(pts, u_star, theta_star, gamma, lam, p)
         if (g > 0).all():
             S = _schur_complement(g, C, s)
             per_cluster_pd.append(_is_positive_definite(S))
@@ -320,8 +336,7 @@ def check_fixed_point(
             per_cluster_pd.append(False)
             pd_margins.append(float(g.min()))
 
-        eps_j = settings.epsilon_factor * epsilon_bound(state, j)
-        eps_values.append(epsilon_bound(state, j))
+        eps_j = settings.epsilon_factor * eps_values[-1]
 
         # Axis directions: the diagonal of the Hessian must be positive.
         if (g <= 0).any() or s <= 0:
@@ -356,7 +371,6 @@ def check_fixed_point(
                 valley_ok = False
 
         # Geometry: active points inside the influence ball, inactive outside.
-        r_sq = radius_squared(gamma, lam, p)
         if (d2[is_active, j] > r_sq).any():
             geometric_ok = False
         if not (d2[~is_active, j] > r_sq).all():

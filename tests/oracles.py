@@ -8,10 +8,11 @@ derivatives come from central finite differences of the cost.  The
 weighted Cauchy-Schwarz inequality of the convexity argument is checked
 directly.  The einsum distance kernel, the full-matrix cost terms and the
 full-matrix FCM membership step are the original implementations, kept as
-the references for the library's streaming ones; the allocating FCM start
-(seeding, iteration, gammas, mu) is the reference for the buffered one.  The
-dense fixed-point monitor at the end is the original full-matrix
-implementation, kept as the reference for the library's structured one.
+the references for the library's streaming ones; the allocating membership
+solver is the reference for the in-place one, and the allocating FCM start
+(seeding, iteration, gammas, mu) for the buffered one.  The dense
+fixed-point monitor at the end is the original full-matrix implementation,
+kept as the reference for the library's structured one.
 """
 
 import math
@@ -233,6 +234,61 @@ def bisect_largest_root(d, gamma, lam, p):
         negative = d + gamma * np.log(mid) + lam * p * mid ** (p - 1.0) < 0.0
         lo = np.where(open_ & negative, mid, lo)
         hi = np.where(open_ & ~negative, mid, hi)
+
+
+# The allocating membership solver, kept verbatim as the reference for the
+# library's in-place kernel (the HALLEY_STEPS constant stands in for the
+# module's _HALLEY_STEPS).
+HALLEY_STEPS = 3
+
+
+def reference_lambert_w0(z: np.ndarray) -> np.ndarray:
+    """Principal branch W0 of the Lambert W function on [-1/e, 0].
+
+    Halley iteration (Corless et al., "On the Lambert W function", Adv.
+    Comput. Math. 5, 1996), started from the branch-point series for
+    z < -0.25 and from z*(1-z) otherwise.  At the branch point z = -1/e
+    (q = 0) the start is W0 = -1 and every step is skipped, not divided by
+    zero; a z rounded past it is treated the same way.
+    """
+    q = np.sqrt(np.maximum(2.0 * (1.0 + math.e * z), 0.0))
+    w = np.where(z < -0.25, -1.0 + q * (1.0 - q * (1.0 / 3.0 - q * (11.0 / 72.0))), z * (1.0 - z))
+    for _ in range(HALLEY_STEPS):
+        ew = np.exp(w)
+        residual = w * ew - z
+        num = 2.0 * (w + 1.0) * residual
+        den = 2.0 * (w + 1.0) ** 2 * ew - (w + 2.0) * residual
+        w = w - np.divide(num, den, out=np.zeros_like(w), where=den != 0.0)
+    return w
+
+
+def reference_largest_root(d: np.ndarray, gamma: float, lam: float, p: float) -> np.ndarray:
+    """Closed-form larger root u2 of f (module docstring) for each entry of d.
+
+    Needs lam > 0 and d <= R^2, where z is at or above -1/e.
+    """
+    one_minus_p = 1.0 - p
+    # ln(-z), capped at -1 so z never passes the branch point -1/e
+    log_minus_z = np.minimum(math.log(one_minus_p * lam * p / gamma) + one_minus_p * d / gamma, -1.0)
+    return np.exp(reference_lambert_w0(-np.exp(log_minus_z)) / one_minus_p - d / gamma)
+
+
+def reference_solve_membership_batch(d: np.ndarray, ctx) -> np.ndarray:
+    """Vectorised two-branch membership update for an array of squared distances.
+
+    Each entry is the larger root of f, at least u_min, when d <= R^2, and 0
+    otherwise.  A negative or NaN distance raises ``ValueError``.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    if d.size and not d.min() >= 0:  # NaN fails the comparison too
+        raise ValueError("squared distances must be nonnegative and not NaN")
+    if ctx.lam == 0.0:
+        return np.exp(-d / ctx.gamma)
+    out = np.zeros_like(d)
+    inside = d <= ctx.radius_sq
+    if inside.any():
+        out[inside] = np.maximum(reference_largest_root(d[inside], ctx.gamma, ctx.lam, ctx.p), ctx.u_min)
+    return out
 
 
 def f_value(u, d, ctx):

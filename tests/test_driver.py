@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import spcm.driver
 from spcm.cli import BlobSpec, default_centers, generate_blobs
 from spcm.core import DataSet, MembershipMatrix, ModelState, squared_distances, total_cost
 from spcm.driver import (
@@ -16,7 +17,7 @@ from spcm.driver import (
     update_theta,
 )
 from spcm.initialization import DegenerateDataError, compute_lambda
-from spcm.membership import InvalidParameterError, radius_squared
+from spcm.membership import InvalidParameterError, _workspace, build_context, radius_squared
 from spcm.monitor import check_fixed_point
 
 from conftest import make_noise_benchmark
@@ -113,6 +114,43 @@ class TestSpcmStep:
         with pytest.raises(ActiveSetEmptyError) as err:
             spcm_step(X, state)
         assert err.value.cluster == 0
+
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 0.95, 0.98, 0.99, 0.995])
+    def test_band_check_holds_on_every_step(self, p):
+        X, _ = make_noise_benchmark(seed=0)
+        result = run(X, 3, SolverConfig(p=p))
+        assert all(record.u_bounds_ok for record in result.trace)
+
+    def test_band_check_is_relative(self, monkeypatch):
+        # at p = 0.99 the whole band lies below any absolute slack of 1e-9
+        X, _ = make_noise_benchmark(seed=0)
+        state = run(X, 3, SolverConfig(p=0.99)).state
+        assert build_context(float(state.gammas[0]), state.lam, state.p).u_max < 1e-12
+        solve = spcm.driver.solve_membership_batch
+
+        def one_entry_off_band(d, ctx, **kwargs):
+            u = np.array(solve(d, ctx, **kwargs))
+            u[np.flatnonzero(u > 0)[0]] = 2.0 * ctx.u_max
+            return u
+
+        monkeypatch.setattr(spcm.driver, "solve_membership_batch", one_entry_off_band)
+        _, _, record = spcm_step(X, state)
+        assert not record.u_bounds_ok
+
+    def test_workspace_changes_no_bit(self):
+        X, _ = make_noise_benchmark(seed=3)
+        state = run(X, 3, SolverConfig(K=0.9, max_iters=2)).state
+        work = _workspace(X.n_points)
+        for _ in range(3):
+            U, next_state, record = spcm_step(X, state)
+            U_w, next_w, record_w = spcm_step(X, state, _work=work)
+            assert U.values.tobytes() == U_w.values.tobytes()
+            assert next_state.representatives.tobytes() == next_w.representatives.tobytes()
+            assert (record.cost, record.cost_after_u, record.u_bounds_ok) == (
+                record_w.cost, record_w.cost_after_u, record_w.u_bounds_ok
+            )
+            state = next_state
 
 
 class TestRun:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,25 @@ from mpmath import mp
 from scipy.special import lambertw
 
 from spcm.initialization import compute_lambda, radius_bound
-from spcm.membership import InvalidParameterError, build_context, radius_squared, solve_membership_batch
+from spcm.membership import (
+    InvalidParameterError,
+    _lambert_w0,
+    _largest_root,
+    _workspace,
+    build_context,
+    radius_squared,
+    solve_membership_batch,
+)
 
-from oracles import bisect_largest_root, f_value, grid_largest_root, threshold_membership
+from oracles import (
+    bisect_largest_root,
+    f_value,
+    grid_largest_root,
+    reference_lambert_w0,
+    reference_largest_root,
+    reference_solve_membership_batch,
+    threshold_membership,
+)
 
 mp.dps = 50
 
@@ -230,3 +247,85 @@ class TestPcm2Membership:
         for d in np.linspace(0.0, 10.0 * gamma, 50):
             u = solve_one(float(d), c)
             assert abs(u - math.exp(-d / gamma)) < 1e-4
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()  # signed zeros too
+
+
+class TestInPlaceKernel:
+    """The in-place kernel reproduces the allocating one bit for bit."""
+
+    PS = [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95]
+
+    def test_lambert_w0_at_the_branch_point_and_the_series_switch(self):
+        branch = -math.exp(-1.0)
+        z = np.concatenate([
+            [branch, np.nextafter(branch, -np.inf), np.nextafter(branch, 0.0), -1.0 / math.e],
+            np.nextafter(-0.25, [-np.inf, 0.0]), [-0.25, 0.0, -0.0],
+            np.linspace(branch, 0.0, 1001),
+        ])
+        work, flag = np.empty((5, z.size)), np.empty(z.size, dtype=bool)
+        with np.errstate(all="raise"):
+            want = reference_lambert_w0(z)
+            got = _lambert_w0(z, work, flag)
+        assert_same_bits(got, want)
+        assert got[0] == -1.0 and got[1] == -1.0
+
+    @pytest.mark.parametrize("p", PS)
+    def test_largest_root(self, p, rng):
+        for _ in range(10):
+            c = random_context(rng, p_lo=p, p_hi=p)
+            d = np.concatenate([[0.0, c.radius_sq], rng.uniform(0.0, c.radius_sq, size=300)])
+            with np.errstate(all="raise"):
+                want = reference_largest_root(d, c.gamma, c.lam, c.p)
+                got = _largest_root(d, c.gamma, c.lam, c.p, np.empty((6, d.size)), np.empty(d.size, dtype=bool))
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("p", PS)
+    def test_solve_on_strided_columns(self, p, rng):
+        work = _workspace(400)
+        for _ in range(10):
+            c = random_context(rng, p_lo=p, p_hi=p)
+            d2 = rng.uniform(0.0, 1.5 * c.radius_sq, size=(400, 3))
+            d2[:3, 1] = [0.0, c.radius_sq, np.nextafter(c.radius_sq, np.inf)]
+            d = d2[:, 1]
+            with np.errstate(all="raise"):
+                want = reference_solve_membership_batch(d, c)
+                assert_same_bits(solve_membership_batch(d, c, _work=work), want)
+                assert_same_bits(solve_membership_batch(d, c), want)
+
+    def test_solve_without_sparsity_and_on_empty_input(self, rng):
+        work = _workspace(50)
+        for c in (build_context(0.7, 0.0, 0.5), build_context(0.7, 0.2, 0.5)):
+            for d in (rng.uniform(0.0, 5.0, size=(50, 2))[:, 0], np.empty(0)):
+                with np.errstate(all="raise"):
+                    want = reference_solve_membership_batch(d, c)
+                    assert_same_bits(solve_membership_batch(d, c, _work=work), want)
+                    assert_same_bits(solve_membership_batch(d, c), want)
+
+    def test_reused_workspace_leaks_no_stale_rows(self, rng):
+        # the active count falls, then rises, and the input length changes too
+        c = random_context(rng, p_lo=0.5, p_hi=0.5)
+        work = _workspace(1000)
+        for n, share_inside in [(1000, 0.9), (1000, 0.2), (600, 0.0), (1000, 1.0), (300, 0.5), (1000, 0.7)]:
+            d = rng.uniform(0.0, c.radius_sq, size=n)
+            outside = rng.random(n) >= share_inside
+            d[outside] = rng.uniform(1.01, 3.0, size=outside.sum()) * c.radius_sq
+            with np.errstate(all="raise"):
+                assert_same_bits(solve_membership_batch(d, c, _work=work), reference_solve_membership_batch(d, c))
+
+    def test_solve_allocates_no_input_sized_array(self, rng):
+        n = 20_000
+        c = build_context(1.0, 0.3, 0.5)
+        d = rng.uniform(0.0, c.radius_sq, size=(n, 3))[:, 0]  # every point inside the ball
+        work = _workspace(n)
+        solve_membership_batch(d, c, _work=work)
+        tracemalloc.start()
+        try:
+            solve_membership_batch(d, c, _work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * 8

@@ -204,6 +204,32 @@ class TestCheckFixedPoint:
         assert not report.grad_ok
         assert report.grad_norm > 1e-6
 
+    def test_cluster_without_active_points_is_reported_not_raised(self, converged):
+        X, result = converged
+        values = result.membership.values.copy()
+        values[:, 1] = 0.0
+        report = check_fixed_point(X, result.state, MembershipMatrix(values))
+        assert report.grad_norm == np.inf
+        assert not (report.grad_ok or report.hessian_ok or report.valley_ok)
+        assert report.per_cluster_hessian_ok == (True, False, True)
+        assert report.per_cluster_pd_margin[1] == -np.inf
+        assert report.per_cluster_valley_samples == (1000, 0, 1000)
+        assert report.active_counts[1] == 0 and (report.active_counts[[0, 2]] > 0).all()
+        # the points that were active sit inside the ball, now as inactive points
+        assert not report.geometric_ok
+
+    def test_cluster_without_active_points_keeps_its_geometry_check(self, converged):
+        X, result = converged
+        reps = result.state.representatives.copy()
+        reps[1] = X.bbox_max + 10.0  # every point far outside this cluster's ball
+        state = ModelState(reps, result.state.gammas, result.state.lam, result.state.p)
+        values = result.membership.values.copy()
+        values[:, 1] = 0.0
+        report = check_fixed_point(X, state, MembershipMatrix(values), MonitorSettings(ball_samples=50))
+        assert report.geometric_ok
+        assert report.grad_norm == np.inf and not report.valley_ok
+        assert not report.per_cluster_hessian_ok[1] and report.per_cluster_valley_samples[1] == 0
+
     def test_epsilon_bound_formula(self):
         state = ModelState([[0.0]], [1.0], 0.5, 0.5)
         assert epsilon_bound(state, 0) == pytest.approx(0.25, rel=1e-15)

@@ -15,10 +15,10 @@ and compare:
     python3 tools/output_digest.py --compare old.json new.json
 
 The cases are the benchmark's draws (``perfbench/inputs.py``, seed 10): three
-``fit-large`` inputs (3 x 30,000 points) run with m = 3, and five
-``cli-audit`` inputs (3 x 600 points), each run with m = 3, m = 4,
-``run_pcm2`` and p = 0.9 and through the CLI; plus one 3-d and one 16-d blob
-set from ``spcm.cli.generate_blobs``.  Every library run but the
+``fit-large`` inputs (3 x 30,000 points) run with m = 3, the first also with
+``run_pcm2`` and with p = 0.9, and five ``cli-audit`` inputs (3 x 600
+points), each run with m = 3, m = 4, ``run_pcm2`` and p = 0.9 and through
+the CLI; plus one 3-d and one 16-d blob set from ``spcm.cli.generate_blobs``.  Every library run but the
 ``fit-large`` ones, where the monitor would add seconds and hundreds of
 megabytes per case, also gets a ``<case>/monitor`` entry: each field of
 ``check_fixed_point``'s report at default settings.  The ``cli-audit`` m = 3
@@ -142,6 +142,9 @@ def collect() -> dict[str, dict[str, str]]:
         X = spcm.DataSet(inputs.make_blobs(inputs.triangle_centers(), 30_000, [SEED, k]).points)
         library_cases(f"fit-large/{k}/m3", X, 3, monitor=False, p=0.5, K=0.9)
         fcm_case(f"fit-large/{k}/fcm_start", X, 3)
+        if k == 0:
+            library_cases(f"fit-large/{k}/pcm2", X, 3, "run_pcm2", monitor=False, p=0.5)
+            library_cases(f"fit-large/{k}/p0.9", X, 3, monitor=False, p=0.9)
     with tempfile.TemporaryDirectory() as tmp:
         for k in range(5):
             points = inputs.make_blobs(inputs.triangle_centers(), 600, [SEED, k]).points
