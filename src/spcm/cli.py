@@ -8,10 +8,14 @@ generate        synthesise Gaussian blobs plus uniform background noise,
                 with a ground-truth labels file
 validate-params initialise on a dataset and print every K bound check
 
-Each ``run`` option is listed once, in ``_RUN_OPTIONS``.  That table makes
-the flags and parses the config-file keys (flags win); the solver settings
-among them go straight into a :class:`~spcm.driver.SolverConfig`, which
-supplies their defaults and rejects bad values.
+Each option of every subcommand is declared once.  ``_RUN_OPTIONS`` makes
+the flags of ``run`` and ``validate-params`` and parses them, and the
+config-file keys of ``run`` (flags win); the solver settings among them go
+straight into a :class:`~spcm.driver.SolverConfig`, which supplies their
+defaults and rejects bad values.  ``generate`` passes only the flags given
+to :class:`BlobSpec` and :func:`generate_blobs`, which supply the rest.
+One function builds each summary section, one writer writes every CSV file
+and ``_EXIT_CODES`` maps each error to its exit code.
 
 Exit codes: 0 success (including warnings), 2 configuration error,
 3 runtime violation, 4 I/O failure.  All numeric output uses shortest
@@ -24,10 +28,11 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,10 +69,10 @@ class InputError(ValueError):
 
 
 def _fmt(x) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
+    """Shortest round-trip decimal for floats; empty for None; plain str otherwise."""
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _vector(v) -> str:
@@ -116,14 +121,19 @@ def ingest_csv(path: str | Path) -> DataSet:
     return DataSet(np.array(rows, dtype=np.float64))
 
 
-def emit_csv(path: str | Path, array: np.ndarray, header: list[str] | None = None) -> None:
-    """Write an array as CSV with full-precision decimals."""
-    array = np.asarray(array)
+def _write_rows(path: str | Path, rows: Iterable[Iterable[str]], header: list[str] | None = None) -> None:
+    """Write rows of formatted cells as CSV lines, after an optional header."""
     with open(path, "w", newline="") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(array):
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def emit_csv(path: str | Path, array: np.ndarray, header: list[str] | None = None) -> None:
+    """Write an array as CSV with full-precision decimals."""
+    rows = np.atleast_2d(np.asarray(array))
+    _write_rows(path, ((_fmt(float(v)) for v in row) for row in rows), header)
 
 
 def default_centers(n_blobs: int) -> np.ndarray:
@@ -153,6 +163,8 @@ class BlobSpec:
             raise ValueError("need at least one blob")
         if not np.isfinite(centers).all():
             raise ValueError(f"centers must be finite, got {centers.tolist()}")
+        if not isinstance(self.points_per_blob, numbers.Integral):
+            raise ValueError(f"points_per_blob must be an integer, got {self.points_per_blob}")
         if self.points_per_blob < 1:
             raise ValueError(f"points_per_blob must be >= 1, got {self.points_per_blob}")
         if not 0 < self.sigma < math.inf:
@@ -196,6 +208,29 @@ def generate_blobs(spec: BlobSpec, seed: int = 0) -> tuple[DataSet, np.ndarray]:
     return DataSet(np.vstack(chunks)), np.concatenate(labels)
 
 
+def _header_section(algorithm: str, X: DataSet, m: int, seed: int, result: RunResult | None = None) -> list[str]:
+    """The run's header; a clustering run adds its retained clusters,
+    termination and iteration count before the seed."""
+    lines = [f"algorithm: {algorithm}", f"points: {X.n_points}", f"dimensions: {X.n_dims}", f"clusters-requested: {m}"]
+    if result is not None:
+        lines += [
+            f"clusters-retained: {len(result.dedup.kept)}",
+            f"termination: {result.termination}",
+            f"iterations: {result.n_iterations}",
+        ]
+    return lines + [f"seed: {seed}"]
+
+
+def _parameter_section(gammas: np.ndarray, report: InitReport | None = None) -> list[str]:
+    """p, K and lambda of a sparse start (an FCM run has none), then gamma."""
+    lines = [] if report is None else [f"p: {_fmt(report.p)}", f"K: {_fmt(report.K)}", f"lambda: {_fmt(report.lam)}"]
+    return lines + [f"gamma: {_vector(gammas)}"]
+
+
+def _theta_section(theta: np.ndarray) -> list[str]:
+    return ["theta:"] + [f"  {j}: {_vector(row)}" for j, row in enumerate(theta)]
+
+
 def _bounds_section(report: InitReport) -> list[str]:
     lines = [
         "bounds:",
@@ -231,39 +266,35 @@ def _fixed_point_section(fp: FixedPointReport) -> list[str]:
     ]
 
 
-def _summary_text(
+def _warnings_section(warnings: tuple[str, ...]) -> list[str]:
+    if not warnings:
+        return ["warnings: none"]
+    return ["warnings:"] + [f"  - {w}" for w in warnings]
+
+
+def _summary_lines(
     algorithm: str, m: int, config: SolverConfig, X: DataSet, result: RunResult, fp: FixedPointReport
-) -> str:
+) -> list[str]:
     report = result.init_report
-    lines = [
-        f"algorithm: {algorithm}",
-        f"points: {X.n_points}",
-        f"dimensions: {X.n_dims}",
-        f"clusters-requested: {m}",
-        f"clusters-retained: {len(result.dedup.kept)}",
-        f"termination: {result.termination}",
-        f"iterations: {result.n_iterations}",
-        f"seed: {config.fcm.seed}",
-        f"p: {_fmt(report.p)}",
-        f"K: {_fmt(report.K)}",
-        f"lambda: {_fmt(report.lam)}",
-        f"gamma: {_vector(report.gammas)}",
-        "theta:",
-    ]
-    for j, row in enumerate(result.state.representatives):
-        lines.append(f"  {j}: {_vector(row)}")
-    lines.extend(_bounds_section(report))
-    lines.extend(_fixed_point_section(fp))
-    lines.append("dedup:")
-    lines.append(f"  threshold: {_fmt(result.dedup.threshold)}")
     mapping = ", ".join(f"{j}->{r}" for j, r in sorted(result.dedup.mapping.items()))
-    lines.append(f"  mapping: {mapping}")
-    if report.warnings:
-        lines.append("warnings:")
-        lines.extend(f"  - {w}" for w in report.warnings)
-    else:
-        lines.append("warnings: none")
-    return "\n".join(lines) + "\n"
+    return [
+        *_header_section(algorithm, X, m, config.fcm.seed, result),
+        *_parameter_section(report.gammas, report),
+        *_theta_section(result.state.representatives),
+        *_bounds_section(report),
+        *_fixed_point_section(fp),
+        "dedup:",
+        f"  threshold: {_fmt(result.dedup.threshold)}",
+        f"  mapping: {mapping}",
+        *_warnings_section(report.warnings),
+    ]
+
+
+def _write_run(out_dir: Path, memberships: np.ndarray, summary: list[str]) -> None:
+    """The files every run writes: memberships.csv and summary.txt."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    emit_csv(out_dir / "memberships.csv", memberships)
+    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n")
 
 
 def _write_trace(path: Path, result: RunResult) -> None:
@@ -274,51 +305,26 @@ def _write_trace(path: Path, result: RunResult) -> None:
         + [f"active_{j}" for j in range(m)]
         + ["u_step_decreased", "theta_step_decreased", "u_bounds_ok"]
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in result.trace:
-            row = [str(rec.t), _fmt(rec.cost), _fmt(rec.cost_after_u)]
-            row.append("" if rec.cost_before is None else _fmt(rec.cost_before))
-            row.extend(_fmt(v) for v in rec.delta_theta)
-            row.extend(str(int(c)) for c in rec.active_counts)
-            row.append("" if rec.u_step_decreased is None else str(rec.u_step_decreased))
-            row.append(str(rec.theta_step_decreased))
-            row.append(str(rec.u_bounds_ok))
-            fh.write(",".join(row) + "\n")
+    rows = (
+        map(_fmt, (
+            rec.t, rec.cost, rec.cost_after_u, rec.cost_before, *rec.delta_theta, *rec.active_counts,
+            rec.u_step_decreased, rec.theta_step_decreased, rec.u_bounds_ok,
+        ))
+        for rec in result.trace
+    )
+    _write_rows(path, rows, header)
 
 
 def _write_plot_data(out_dir: Path, result: RunResult) -> None:
-    with open(out_dir / "cost_vs_iteration.csv", "w", newline="") as fh:
-        fh.write("t,J\n")
-        for rec in result.trace:
-            fh.write(f"{rec.t},{_fmt(rec.cost)}\n")
+    costs = ([_fmt(rec.t), _fmt(rec.cost)] for rec in result.trace)
+    _write_rows(out_dir / "cost_vs_iteration.csv", costs, ["t", "J"])
     dims = min(2, result.state.n_dims)
-    header = ["t", "cluster"] + [f"c{q}" for q in range(dims)]
-    with open(out_dir / "theta_trajectory.csv", "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in result.trace:
-            for j, row in enumerate(rec.theta):
-                coords = ",".join(_fmt(row[q]) for q in range(dims))
-                fh.write(f"{rec.t},{j},{coords}\n")
-
-
-def _run_fcm_only(X: DataSet, m: int, config: SolverConfig, out_dir: Path) -> int:
-    theta, u, gammas, _ = fcm_start(X, m, config.fcm)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_csv(out_dir / "memberships.csv", u)
-    lines = [
-        "algorithm: fcm",
-        f"points: {X.n_points}",
-        f"dimensions: {X.n_dims}",
-        f"clusters-requested: {m}",
-        f"seed: {config.fcm.seed}",
-        f"gamma: {_vector(gammas)}",
-        "theta:",
-    ]
-    for j, row in enumerate(theta):
-        lines.append(f"  {j}: {_vector(row)}")
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
-    return EXIT_OK
+    rows = (
+        [_fmt(rec.t), _fmt(j), *(_fmt(row[q]) for q in range(dims))]
+        for rec in result.trace
+        for j, row in enumerate(rec.theta)
+    )
+    _write_rows(out_dir / "theta_trajectory.csv", rows, ["t", "cluster"] + [f"c{q}" for q in range(dims)])
 
 
 def _switch(raw: str) -> bool:
@@ -331,7 +337,8 @@ def _dedup(raw: str) -> float | None:
 
 # Every run option: config key -> (parser, SolverConfig field, help).  Its
 # flag is the key with "_" written "-"; "seed" is the FCM block's field, and
-# None marks an option of the CLI alone.
+# None marks an option of the CLI alone.  validate-params takes the
+# _VALIDATE_OPTIONS among them, as flags only.
 _RUN_OPTIONS: dict[str, tuple[Callable[[str], object], str | None, str | None]] = {
     "input": (str, None, "input CSV path"),
     "out_dir": (str, None, "output directory (default .)"),
@@ -346,10 +353,16 @@ _RUN_OPTIONS: dict[str, tuple[Callable[[str], object], str | None, str | None]] 
     "trace": (_switch, None, "write trace.csv"),
     "plot_data": (_switch, None, "write cost/trajectory tables for external plotting"),
 }
+_VALIDATE_OPTIONS = ("input", "clusters", "p", "K", "seed")
 
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
+
+
+def _given(args: argparse.Namespace, keys: Iterable[str]) -> dict:
+    """The values of the flags among ``keys`` that the command line gave."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -372,17 +385,19 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _run_options(args: argparse.Namespace) -> dict:
     """Parsed run options, flags over config-file keys (a switch flag can
     only switch on), with the CLI's own checks applied."""
-    raw = _read_config_file(args.config) if args.config else {}
-    raw.update({key: getattr(args, key) for key in _RUN_OPTIONS if getattr(args, key) is not None})
+    config_file = getattr(args, "config", None)
+    raw = _read_config_file(config_file) if config_file else {}
+    raw.update(_given(args, _RUN_OPTIONS))
     options = {}
     for key, text in raw.items():
         try:
             options[key] = _RUN_OPTIONS[key][0](text)
         except ValueError as exc:
             raise ConfigError(f"{_flag(key)}: cannot parse {text!r}") from exc
+    where = " (as a flag or in the config file)" if "config" in args else ""
     for key in ("input", "clusters"):
         if key not in options:
-            raise ConfigError(f"{_flag(key)} is required (as a flag or in the config file)")
+            raise ConfigError(f"{_flag(key)} is required{where}")
     algorithm = options.setdefault("algorithm", "spcm")
     if algorithm not in _ALGORITHMS:
         raise ConfigError(f"--algorithm: unknown algorithm {algorithm!r}; choose one of {_ALGORITHMS}")
@@ -417,16 +432,17 @@ def run_command(args: argparse.Namespace) -> int:
     out_dir = Path(options.get("out_dir", "."))
 
     if algorithm == "fcm":
-        return _run_fcm_only(X, m, config, out_dir)
+        theta, u, gammas, _ = fcm_start(X, m, config.fcm)
+        header = _header_section(algorithm, X, m, config.fcm.seed)
+        _write_run(out_dir, u, [*header, *_parameter_section(gammas), *_theta_section(theta)])
+        return EXIT_OK
     if algorithm == "spcm":
         result = run(X, m, config)
     else:
         result = run_pcm2(X, m, config)
 
     fp = check_fixed_point(X, result.state, result.membership)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit_csv(out_dir / "memberships.csv", result.dedup.membership)
-    (out_dir / "summary.txt").write_text(_summary_text(algorithm, m, config, X, result, fp))
+    _write_run(out_dir, result.dedup.membership, _summary_lines(algorithm, m, config, X, result, fp))
     if options.get("trace"):
         _write_trace(out_dir / "trace.csv", result)
     if options.get("plot_data"):
@@ -440,9 +456,9 @@ def run_command(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file; flags override it")
-    for key, (parse, _, help_text) in _RUN_OPTIONS.items():
+def _add_option_flags(parser: argparse.ArgumentParser, keys: Iterable[str]) -> None:
+    for key in keys:
+        parse, _, help_text = _RUN_OPTIONS[key]
         switch = {"action": "store_const", "const": "true"} if parse is _switch else {}
         parser.add_argument(_flag(key), dest=key, help=help_text, **switch)
 
@@ -457,40 +473,29 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot parse --centers {args.centers!r}") from exc
     else:
         centers = default_centers(args.blobs)
-    try:
-        spec = BlobSpec(
-            centers=centers,
-            points_per_blob=args.points_per_blob,
-            sigma=args.sigma,
-            noise_fraction=args.noise,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    X, labels = generate_blobs(spec, seed=args.seed)
+    spec = BlobSpec(centers=centers, **_given(args, ("points_per_blob", "sigma", "noise_fraction")))
+    X, labels = generate_blobs(spec, **_given(args, ("seed",)))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     emit_csv(out, X.points)
     labels_path = out.with_suffix(out.suffix + ".labels.csv") if out.suffix != ".csv" else out.with_name(out.stem + ".labels.csv")
-    with open(labels_path, "w", newline="") as fh:
-        for lab in labels:
-            fh.write(f"{int(lab)}\n")
+    _write_rows(labels_path, ([str(int(lab))] for lab in labels))
     print(f"wrote {X.n_points} points to {out} (labels: {labels_path})")
     return EXIT_OK
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    given = {key: getattr(args, key) for key in ("p", "K", "seed")}
-    config = _solver_config({key: value for key, value in given.items() if value is not None})
-    X = ingest_csv(args.input)
-    report = initialize(X, args.clusters, p=config.p, K=config.K, fcm=config.fcm)
-    lines = [f"clusters: {args.clusters}", f"p: {_fmt(report.p)}", f"K: {_fmt(report.K)}",
-             f"lambda: {_fmt(report.lam)}", f"gamma: {_vector(report.gammas)}"]
-    lines.extend(_bounds_section(report))
-    if report.warnings:
-        lines.append("warnings:")
-        lines.extend(f"  - {w}" for w in report.warnings)
-    else:
-        lines.append("warnings: none")
+    options = _run_options(args)
+    config = _solver_config(options)
+    m = options["clusters"]
+    X = ingest_csv(options["input"])
+    report = initialize(X, m, p=config.p, K=config.K, fcm=config.fcm)
+    lines = [
+        f"clusters: {m}",
+        *_parameter_section(report.gammas, report),
+        *_bounds_section(report),
+        *_warnings_section(report.warnings),
+    ]
     print("\n".join(lines))
     return EXIT_OK
 
@@ -500,49 +505,46 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="cluster a CSV dataset")
-    _add_run_flags(p_run)
+    p_run.add_argument("--config", help="flat key=value config file; flags override it")
+    _add_option_flags(p_run, _RUN_OPTIONS)
     p_run.set_defaults(func=run_command)
 
     p_gen = sub.add_parser("generate", help="generate a synthetic blob benchmark")
     p_gen.add_argument("--blobs", type=int, default=3)
-    p_gen.add_argument("--points-per-blob", dest="points_per_blob", type=int, default=50)
-    p_gen.add_argument("--sigma", type=float, default=0.1)
-    p_gen.add_argument("--noise", type=float, default=0.1)
-    p_gen.add_argument("--centers", default=None, help="semicolon-separated x:y pairs")
-    p_gen.add_argument("--seed", type=int, default=0)
+    # BlobSpec and generate_blobs supply the defaults of the flags left out
+    p_gen.add_argument("--points-per-blob", dest="points_per_blob", type=int)
+    p_gen.add_argument("--sigma", type=float)
+    p_gen.add_argument("--noise", dest="noise_fraction", metavar="NOISE", type=float)
+    p_gen.add_argument("--centers", help="semicolon-separated x:y pairs")
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_val = sub.add_parser("validate-params", help="check K bounds on a dataset")
-    p_val.add_argument("--input", required=True)
-    p_val.add_argument("--clusters", type=int, required=True)
-    p_val.add_argument("--p", type=float)
-    p_val.add_argument("--K", type=float)
-    p_val.add_argument("--seed", type=int)
+    _add_option_flags(p_val, _VALIDATE_OPTIONS)
     p_val.set_defaults(func=_cmd_validate)
     return parser
 
 
+# The exit code of each error main reports.  The first type that matches
+# wins, so the subclasses of ValueError that are not configuration errors
+# (ConfigError is one) come before it.
+_EXIT_CODES = {
+    InputError: EXIT_IO,
+    ActiveSetEmptyError: EXIT_RUNTIME,
+    DegenerateDataError: EXIT_RUNTIME,
+    ValueError: EXIT_CONFIG,
+    OSError: EXIT_IO,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ActiveSetEmptyError, DegenerateDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

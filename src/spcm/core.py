@@ -157,7 +157,6 @@ class ModelState:
     gammas: np.ndarray
     lam: float
     p: float
-    gamma_bar: float = field(init=False, repr=False)
 
     def __post_init__(self):
         reps = _frozen_array(self.representatives)
@@ -178,7 +177,6 @@ class ModelState:
         object.__setattr__(self, "gammas", gam)
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "gamma_bar", float(gam.min()))
 
     @property
     def n_clusters(self) -> int:

@@ -49,9 +49,7 @@ __all__ = [
     "InitReport",
     "run_fcm",
     "fcm_start",
-    "compute_gammas",
     "compute_lambda",
-    "compute_mu",
     "radius_bound",
     "activation_bound",
     "default_K",
@@ -233,13 +231,6 @@ def _mu(d2: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     return np.array([d2[:, j].min() for j in range(d2.shape[1])]) / np.asarray(gammas, dtype=np.float64)
 
 
-def compute_gammas(X: DataSet, theta0: np.ndarray, u_fcm: np.ndarray) -> np.ndarray:
-    """Membership-weighted mean squared distance to each representative."""
-    u_fcm = np.asarray(u_fcm, dtype=np.float64)
-    column_sums = _check_column_sums(u_fcm)
-    return _gammas(u_fcm, squared_distances(X.points, np.asarray(theta0, dtype=np.float64)), column_sums)
-
-
 def fcm_start(
     X: DataSet, m: int, fcm: FcmConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -261,11 +252,6 @@ def compute_lambda(gammas: np.ndarray, K: float, p: float) -> float:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     gamma_bar = float(np.min(gammas))
     return K * gamma_bar / (p * (1.0 - p) * math.exp(2.0 - p))
-
-
-def compute_mu(X: DataSet, theta0: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Scaled squared distance of the closest point to each representative."""
-    return _mu(squared_distances(X.points, np.asarray(theta0, dtype=np.float64)), gammas)
 
 
 def radius_bound(p: float) -> float:

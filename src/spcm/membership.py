@@ -100,6 +100,11 @@ def radius_squared(gamma: float, lam: float, p: float) -> float:
     return (gamma / (1.0 - p)) * (-math.log(lam * (1.0 - p) / gamma) - p)
 
 
+def _u_min(gamma: float, lam: float, p: float) -> float:
+    """Smallest nonzero membership, reached at d == R^2: (lam*(1-p)/gamma)**(1/(1-p))."""
+    return (lam * (1.0 - p) / gamma) ** (1.0 / (1.0 - p))
+
+
 def _workspace(n: int) -> np.ndarray:
     """Scratch for :func:`solve_membership_batch` on up to n distances.
 
@@ -223,9 +228,7 @@ def build_context(gamma: float, lam: float, p: float) -> ClusterSolverContext:
             radius_sq=math.inf,
         )
 
-    inv = 1.0 / (1.0 - p)
-    u_hat = ((lam / gamma) * p * (1.0 - p)) ** inv
-    u_min = (lam * (1.0 - p) / gamma) ** inv
+    u_hat = ((lam / gamma) * p * (1.0 - p)) ** (1.0 / (1.0 - p))
     r_sq = radius_squared(gamma, lam, p)
     if not r_sq > 0:
         raise InvalidParameterError(
@@ -239,7 +242,7 @@ def build_context(gamma: float, lam: float, p: float) -> ClusterSolverContext:
         lam=float(lam),
         p=float(p),
         u_hat=u_hat,
-        u_min=u_min,
+        u_min=_u_min(gamma, lam, p),
         u_max=float(_largest_root(np.zeros(1), gamma, lam, p, np.empty((6, 1)), np.empty(1, dtype=bool))[0]),
         radius_sq=r_sq,
     )

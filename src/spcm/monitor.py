@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataSet, MembershipMatrix, ModelState, squared_distances
-from .membership import radius_squared
+from .membership import _u_min, radius_squared
 
 __all__ = [
     "MonitorSettings",
@@ -344,7 +344,7 @@ def check_fixed_point(
 
         # Quadratic form at sampled valley points against the fixed-point Hessian.
         if lam > 0:
-            lo = (lam * (1.0 - p) / gamma) ** (1.0 / (1.0 - p))
+            lo = _u_min(gamma, lam, p)
             hi = 1.0
         else:
             lo, hi = 1e-12, 1.0

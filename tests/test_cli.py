@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import math
 
 import numpy as np
@@ -93,6 +95,9 @@ class TestGenerateBlobs:
             BlobSpec(centers=default_centers(2), sigma=math.inf)
         with pytest.raises(ValueError, match="centers"):
             BlobSpec(centers=[[math.inf, 0.0]])
+        with pytest.raises(ValueError, match="^points_per_blob must be an integer"):
+            BlobSpec(centers=default_centers(2), points_per_blob=2.5)
+        assert BlobSpec(centers=default_centers(2), points_per_blob=np.int64(3)).points_per_blob == 3
         with pytest.raises(ValueError, match="at least one blob"):
             default_centers(0)
 
@@ -145,9 +150,38 @@ class TestGenerateCommand:
             assert main(["generate", "--seed", "4", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_defaults_are_blob_spec_defaults(self, tmp_path):
+        spec = BlobSpec(centers=default_centers(3))
+        seed = inspect.signature(generate_blobs).parameters["seed"].default
+        spelled = [
+            "--blobs", "3", "--points-per-blob", str(spec.points_per_blob), "--sigma", repr(spec.sigma),
+            "--noise", repr(spec.noise_fraction), "--seed", str(seed),
+        ]
+        for name, flags in (("bare", []), ("spelled", spelled)):
+            assert main(["generate", *flags, "--out", str(tmp_path / name / "d.csv")]) == 0
+        for name in ("d.csv", "d.labels.csv"):
+            assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "spelled" / name).read_bytes()
+
 
 def flag(key: str) -> str:
     return "--" + key.replace("_", "-")
+
+
+def test_each_subcommand_keeps_its_options():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in p._actions for s in a.option_strings) for name, p in sub.choices.items()}
+    assert options == {
+        "run": [
+            "--K", "--algorithm", "--clusters", "--config", "--dedup", "--help", "--input", "--max-iters",
+            "--out-dir", "--p", "--plot-data", "--seed", "--theta-tol", "--trace", "-h",
+        ],
+        "generate": ["--blobs", "--centers", "--help", "--noise", "--out", "--points-per-blob", "--seed", "--sigma", "-h"],
+        "validate-params": ["--K", "--clusters", "--help", "--input", "--p", "--seed", "-h"],
+    }
+    assert list(cli._RUN_OPTIONS) == [
+        "input", "out_dir", "algorithm", "clusters", "p", "K", "theta_tol", "max_iters", "dedup", "seed", "trace",
+        "plot_data",
+    ]
 
 
 def run_argv(options: dict[str, str], key: str, source: str, cfg_path) -> list[str]:
@@ -405,6 +439,11 @@ class TestValidateParamsCommand:
         out = capsys.readouterr().out
         assert "radius-bound" in out and "activation-bound" in out
         assert "warnings: none" in out
+
+    def test_required_flags_name_themselves(self, dataset_csv, capsys):
+        for given, missing in ((["--clusters", "3"], "--input"), (["--input", str(dataset_csv)], "--clusters")):
+            assert main(["validate-params", *given]) == 2
+            assert f"{missing} is required" in capsys.readouterr().err
 
     def test_rejects_bad_K(self, dataset_csv, capsys):
         code = main(

@@ -126,10 +126,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             X.points[0, 0] = 5.0
 
-    def test_model_state_caches_gamma_bar(self):
-        state = ModelState([[0.0], [1.0]], [2.0, 0.7], 0.1, 0.5)
-        assert state.gamma_bar == 0.7
-
     def test_model_state_validation(self):
         with pytest.raises(ValueError):
             ModelState([[0.0]], [0.0], 0.1, 0.5)  # gamma must be positive

@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from spcm.core import DataSet
+from spcm.core import DataSet, squared_distances
 from spcm.initialization import (
     DegenerateDataError,
     FcmConfig,
     activation_bound,
-    compute_gammas,
     compute_lambda,
-    compute_mu,
     default_K,
     fcm_start,
     initialize,
     radius_bound,
     run_fcm,
     validate_K,
+    _check_column_sums,
     _fcm_memberships,
+    _gammas,
 )
 from spcm.membership import build_context, radius_squared, solve_membership_batch
 
@@ -109,10 +109,8 @@ class TestBufferedStartMatchesReference:
         ref_theta, ref_u = reference_run_fcm(X, m, config)
         np.testing.assert_array_equal(theta, ref_theta)
         np.testing.assert_array_equal(u, ref_u)
-        gammas = compute_gammas(X, theta, u)
-        np.testing.assert_array_equal(gammas, reference_compute_gammas(X, theta, u))
-        np.testing.assert_array_equal(compute_mu(X, theta, gammas), reference_compute_mu(X, theta, gammas))
-        for got, want in zip(fcm_start(X, m, config), (theta, u, gammas, compute_mu(X, theta, gammas))):
+        gammas = reference_compute_gammas(X, theta, u)
+        for got, want in zip(fcm_start(X, m, config), (theta, u, gammas, reference_compute_mu(X, theta, gammas))):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
@@ -142,12 +140,17 @@ class TestBufferedStartMatchesReference:
         self.assert_start_matches(X, 3, FcmConfig(fuzzifier=fuzzifier, seed=1))
 
 
+def fcm_gammas(X, theta, u):
+    """The gammas fcm_start derives from its memberships ``u`` at representatives ``theta``."""
+    return _gammas(u, squared_distances(X.points, theta), _check_column_sums(u))
+
+
 class TestComputeGammas:
     def test_two_points_opposite_sides(self):
         X = DataSet([[2.0], [-2.0]])
         theta = np.array([[0.0]])
         u = np.ones((2, 1))
-        np.testing.assert_allclose(compute_gammas(X, theta, u), [4.0])
+        np.testing.assert_allclose(fcm_gammas(X, theta, u), [4.0])
 
     def test_one_hot_memberships(self, rng):
         pts = rng.normal(size=(6, 2))
@@ -155,7 +158,7 @@ class TestComputeGammas:
         u = np.zeros((6, 2))
         u[:3, 0] = 1.0
         u[3:, 1] = 1.0
-        got = compute_gammas(X := DataSet(pts), theta, u)
+        got = fcm_gammas(X := DataSet(pts), theta, u)
         want0 = np.mean([((pts[i] - theta[0]) ** 2).sum() for i in range(3)])
         want1 = np.mean([((pts[i] - theta[1]) ** 2).sum() for i in range(3, 6)])
         np.testing.assert_allclose(got, [want0, want1], rtol=1e-14)
@@ -164,7 +167,7 @@ class TestComputeGammas:
         pts = rng.normal(size=(10, 2))
         theta = rng.normal(size=(3, 2))
         u = rng.uniform(0.01, 1.0, size=(10, 3))
-        got = compute_gammas(DataSet(pts), theta, u)
+        got = fcm_gammas(DataSet(pts), theta, u)
         for j in range(3):
             num = sum(u[i, j] * ((pts[i] - theta[j]) ** 2).sum() for i in range(10))
             assert got[j] == pytest.approx(num / u[:, j].sum(), rel=1e-12)
@@ -172,12 +175,14 @@ class TestComputeGammas:
     def test_zero_column_rejected(self):
         X = DataSet([[0.0], [1.0]])
         with pytest.raises(DegenerateDataError, match="column"):
-            compute_gammas(X, np.array([[0.5]]), np.zeros((2, 1)))
+            fcm_gammas(X, np.array([[0.5]]), np.zeros((2, 1)))
 
     def test_coincident_points_rejected(self):
         X = DataSet([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DegenerateDataError, match="dispersion"):
-            compute_gammas(X, np.array([[1.0, 1.0]]), np.ones((2, 1)))
+            fcm_gammas(X, np.array([[1.0, 1.0]]), np.ones((2, 1)))
+        with pytest.raises(DegenerateDataError, match="dispersion"):
+            fcm_start(X, 1)
 
 
 class TestComputeLambda:
@@ -280,7 +285,7 @@ class TestInitialize:
         assert report.lam == compute_lambda(report.gammas, 0.9, 0.5)
         assert report.warnings == ()
         np.testing.assert_allclose(
-            report.mu, compute_mu(X, report.theta0, report.gammas), rtol=1e-15
+            report.mu, reference_compute_mu(X, report.theta0, report.gammas), rtol=1e-15
         )
 
     def test_K_zero_is_the_nonsparse_start(self, blob_benchmark):

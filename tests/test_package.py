@@ -12,7 +12,8 @@ MODULES = ("spcm", "spcm.cli", "spcm.core", "spcm.driver", "spcm.initialization"
 # The submodules whose public names `spcm` re-exports.
 REEXPORTED = ("spcm.core", "spcm.membership", "spcm.initialization", "spcm.driver", "spcm.monitor")
 
-# Test-only API that moved to tests/oracles.py or was folded into the one solver.
+# Test-only API that moved to tests/oracles.py, was folded into the one solver
+# or is computed by fcm_start alone.
 REMOVED = (
     "f_value",
     "solve_membership",
@@ -20,6 +21,8 @@ REMOVED = (
     "point_term_cost",
     "cluster_costs",
     "weighted_cauchy_schwarz_holds",
+    "compute_gammas",
+    "compute_mu",
 )
 
 

@@ -6,6 +6,8 @@ SHA-256 of its exact bits: every field of the ``RunResult`` (state,
 memberships, dedup, termination), of its ``InitReport``, of the per-iteration
 trace (one digest per ``IterationTrace`` field over all iterations), of
 ``fcm_start``'s four arrays, and of each file ``spcm run --trace`` writes.
+A field the constructor does not take is derived from the others, so it is
+left out.
 Two versions of the package give the same output bits exactly when their
 digests agree, so run the script once per version, each in its own process,
 and compare:
@@ -18,23 +20,33 @@ The cases are the benchmark's draws (``perfbench/inputs.py``, seed 10): three
 ``fit-large`` inputs (3 x 30,000 points) run with m = 3, the first also with
 ``run_pcm2`` and with p = 0.9, and five ``cli-audit`` inputs (3 x 600
 points), each run with m = 3, m = 4, ``run_pcm2`` and p = 0.9 and through
-the CLI; plus one 3-d and one 16-d blob set from ``spcm.cli.generate_blobs``.  Every library run but the
-``fit-large`` ones, where the monitor would add seconds and hundreds of
-megabytes per case, also gets a ``<case>/monitor`` entry: each field of
-``check_fixed_point``'s report at default settings.  The ``cli-audit`` m = 3
-runs get a ``<case>/monitor-narrow`` entry too, whose small valley radius
-admits a fraction of the sampled candidates.  A run that raises is recorded
-by its exception.  Only the public API is used, so the script runs
-against any version of the package.
+the CLI; plus one 3-d and one 16-d blob set from ``spcm.cli.generate_blobs``.
+The ``cli/...`` cases run every other CLI output on the first ``cli-audit``
+input: ``run --trace --plot-data``, ``--algorithm pcm2`` and ``fcm``,
+``validate-params``, ``generate`` with default and with explicit flags, and
+the exit code and stderr of each error path (missing input, K past the
+radius bound, a starved cluster, an unknown config key) and of the
+iteration-cap warning; each gets its exit code, stdout, stderr (the
+temporary directory written ``<tmp>``) and every file it writes.  Every
+library run but the ``fit-large`` ones, where the monitor would add seconds
+and hundreds of megabytes per case, also gets a ``<case>/monitor`` entry:
+each field of ``check_fixed_point``'s report at default settings.  The
+``cli-audit`` m = 3 runs get a ``<case>/monitor-narrow`` entry too, whose
+small valley radius admits a fraction of the sampled candidates.  A run that
+raises is recorded by its exception.  Only the public API is used, so the
+script runs against any version of the package.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -58,8 +70,10 @@ def _leaf_bytes(value) -> bytes:
 def _flatten(value, path: str, out: dict[str, list[bytes]]) -> None:
     """Append the bytes of every leaf under ``path`` to ``out``."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        # a field the constructor does not take is derived from those it does
         for f in dataclasses.fields(value):
-            _flatten(getattr(value, f.name), f"{path}.{f.name}", out)
+            if f.init:
+                _flatten(getattr(value, f.name), f"{path}.{f.name}", out)
     elif isinstance(value, dict):
         for key in sorted(value, key=repr):
             _flatten(value[key], f"{path}[{key!r}]", out)
@@ -165,11 +179,74 @@ def collect() -> dict[str, dict[str, str]]:
             for path in sorted(out_dir.iterdir()):
                 files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
             cases[f"cli-audit/{k}/cli"] = files
+        cases.update(cli_cases(cli, Path(tmp), Path(tmp) / "in0.csv"))
     for dims in (3, 16):
         centers = np.eye(dims)[:3]
         X, _ = cli.generate_blobs(cli.BlobSpec(centers=centers, points_per_blob=200), seed=SEED)
         library_cases(f"blobs-{dims}d/m3", X, 3, p=0.5, K=0.9)
         fcm_case(f"blobs-{dims}d/fcm_start", X, 3)
+    return cases
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_output(cli, argv: list[str], tmp: Path, out_dir: Path | None = None) -> dict[str, str]:
+    """Digest of ``cli.main(argv)``: exit code, stdout, stderr, files under ``out_dir``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a command line this way
+            code = exc.code
+    fields = {"exit": _sha(str(code).encode())}
+    for name, stream in (("stdout", stdout), ("stderr", stderr)):
+        fields[name] = _sha(stream.getvalue().replace(str(tmp), "<tmp>").encode())
+    if out_dir is not None and out_dir.exists():
+        for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+            fields[path.relative_to(out_dir).as_posix()] = _sha(path.read_bytes())
+    return fields
+
+
+def cli_cases(cli, tmp: Path, data: Path) -> dict[str, dict[str, str]]:
+    """Every CLI subcommand and error path on the input CSV ``data``."""
+    cases = {}
+    run = ["run", "--input", str(data), "--clusters", "3"]
+    runs = {
+        "run-trace-plot": ["--p", "0.5", "--K", "0.9", "--trace", "--plot-data"],
+        "run-pcm2": ["--algorithm", "pcm2", "--seed", "3", "--trace", "--plot-data"],
+        "run-fcm": ["--algorithm", "fcm", "--seed", "3"],
+        # K past the activation bound at m = 5, yet every cluster keeps a point
+        "run-warnings": ["--clusters", "5", "--p", "0.3", "--K", "1.2161955273834157", "--dedup", "0.05"],
+        "missing-input": ["--input", str(tmp / "absent.csv")],
+        "K-past-bound": ["--K", "2.0"],
+        "starved-cluster": ["--K", repr((1 - 1e-9) * 0.5 * math.e)],
+        "iteration-cap": ["--max-iters", "2", "--theta-tol", "1e-14"],
+    }
+    for name, extra in runs.items():
+        out = tmp / name
+        cases[f"cli/{name}"] = cli_output(cli, [*run, "--out-dir", str(out), *extra], tmp, out)
+    config = tmp / "unknown.cfg"
+    config.write_text("inputs = nope\n")
+    cases["cli/unknown-config-key"] = cli_output(cli, [*run, "--config", str(config)], tmp)
+    validate = ["validate-params", "--input", str(data), "--clusters", "3"]
+    for name, extra in {"default": [], "K0.9": ["--K", "0.9"], "p0.3-seed2": ["--p", "0.3", "--seed", "2"],
+                        "warnings": ["--K", "1.3591"], "K-past-bound": ["--K", "2.0"]}.items():
+        cases[f"cli/validate-params/{name}"] = cli_output(cli, [*validate, *extra], tmp)
+    generates = {
+        "default": ["--out", "data.csv"],
+        "defaults-spelled": ["--blobs", "3", "--points-per-blob", "50", "--sigma", "0.1", "--noise", "0.1",
+                             "--seed", "0", "--out", "data.csv"],
+        "explicit": ["--blobs", "4", "--points-per-blob", "30", "--sigma", "0.2", "--noise", "0.25",
+                     "--seed", "5", "--out", "data.txt"],
+        "centers": ["--centers", "0:0;2:1;-1:3", "--points-per-blob", "7", "--out", "sub/pts.csv"],
+        "no-noise": ["--noise", "0", "--seed", "9", "--out", "data.csv"],
+    }
+    for name, argv in generates.items():
+        out = tmp / "generate" / name
+        argv = [*argv[:-1], str(out / argv[-1])]
+        cases[f"cli/generate/{name}"] = cli_output(cli, ["generate", *argv], tmp, out)
     return cases
 
 
