@@ -14,6 +14,7 @@ config-file keys of ``run`` (flags win); the solver settings among them go
 straight into a :class:`~spcm.driver.SolverConfig`, which supplies their
 defaults and rejects bad values.  ``generate`` passes only the flags given
 to :class:`BlobSpec` and :func:`generate_blobs`, which supply the rest.
+``_reject_unread`` fails every option that its command would not read.
 One function builds each summary section, one writer writes every CSV file
 and ``_EXIT_CODES`` maps each error to its exit code.
 
@@ -382,6 +383,13 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
+def _reject_unread(flags: Iterable[str], because: str) -> None:
+    """A ConfigError naming the given options that ``because`` leaves unread."""
+    flags = [_flag(key) for key in flags]
+    if flags:
+        raise ConfigError(f"{' and '.join(flags)} would be ignored with {because}")
+
+
 def _run_options(args: argparse.Namespace) -> dict:
     """Parsed run options, flags over config-file keys (a switch flag can
     only switch on), with the CLI's own checks applied."""
@@ -428,6 +436,8 @@ def run_command(args: argparse.Namespace) -> int:
     options = _run_options(args)
     config = _solver_config(options)
     algorithm, m = options["algorithm"], options["clusters"]
+    if algorithm == "fcm":
+        _reject_unread([key for key in ("trace", "plot_data") if options.get(key)], "--algorithm fcm")
     X = ingest_csv(options["input"])
     out_dir = Path(options.get("out_dir", "."))
 
@@ -465,6 +475,7 @@ def _add_option_flags(parser: argparse.ArgumentParser, keys: Iterable[str]) -> N
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.centers:
+        _reject_unread(_given(args, ("blobs",)), "--centers")
         try:
             centers = np.array(
                 [[float(c) for c in pt.split(":")] for pt in args.centers.split(";")]
@@ -472,7 +483,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"cannot parse --centers {args.centers!r}") from exc
     else:
-        centers = default_centers(args.blobs)
+        centers = default_centers(3 if args.blobs is None else args.blobs)
     spec = BlobSpec(centers=centers, **_given(args, ("points_per_blob", "sigma", "noise_fraction")))
     X, labels = generate_blobs(spec, **_given(args, ("seed",)))
     out = Path(args.out)
@@ -510,8 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=run_command)
 
     p_gen = sub.add_parser("generate", help="generate a synthetic blob benchmark")
-    p_gen.add_argument("--blobs", type=int, default=3)
     # BlobSpec and generate_blobs supply the defaults of the flags left out
+    p_gen.add_argument("--blobs", type=int)  # 3 unless --centers sets the count
     p_gen.add_argument("--points-per-blob", dest="points_per_blob", type=int)
     p_gen.add_argument("--sigma", type=float)
     p_gen.add_argument("--noise", dest="noise_fraction", metavar="NOISE", type=float)

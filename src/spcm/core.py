@@ -10,13 +10,12 @@ representative and the convention h(0; d) = 0: :func:`total_cost` evaluates
 h, and so its log and power, on the active entries (u > 0) only, and an
 inactive entry contributes exactly 0.  Both kernels stream column by column:
 :func:`squared_distances` builds no N x m x l temporary and returns a
-C-contiguous (N, m) array (into ``out`` when given), and the cost adds its m
-columns elementwise instead of reducing along the short cluster axis.  The
-u-only terms of h (its log and power) can be taken once and passed to
-:func:`total_cost` for each set of representatives that prices the same
-memberships, as the loop's step does for its two costs.  All types are
-immutable after construction and all operations are pure, so everything
-here is safe to evaluate concurrently.
+C-contiguous (N, m) array (into ``out`` when given), and the cost sums each
+cluster's active terms and adds the m sums.  The u-only terms of h (its log
+and power) can be taken once and passed to :func:`total_cost` for each set
+of representatives that prices the same memberships, as the loop's step
+does for its two costs.  All types are immutable after construction and all
+operations are pure, so everything here is safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -55,11 +54,8 @@ def squared_distances(
     receives the result and is returned; it must be a C-contiguous float64
     (N, m) array, otherwise ``ValueError``.  Squared distances are
     formed directly (no norm-then-square), one block of points and one
-    coordinate at a time, so no N x m x l difference array is built.  The
-    squares of the even and of the odd coordinates are each added left to
-    right and the two sums added last.  That pairing reproduces numpy's
-    vectorised ``einsum("ijk,ijk->ij", diff, diff)`` bit for bit up to
-    l = 4, and agrees with it to a few ulps beyond.
+    coordinate at a time, so no N x m x l difference array is built; the
+    squares of the coordinates are added left to right.
     """
     points = np.asarray(points, dtype=np.float64)
     representatives = np.asarray(representatives, dtype=np.float64)
@@ -81,23 +77,21 @@ def squared_distances(
         isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64 and out.flags.c_contiguous
     ):
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-    even, odd, square = np.empty((3, min(n, _BLOCK)))
+    total, square = np.empty((2, min(n, _BLOCK)))
     for start in range(0, n, _BLOCK):
         coords = points[start : start + _BLOCK].T
         b = coords.shape[1]
-        sums, sq = (even[:b], odd[:b]), square[:b]
+        acc, sq = total[:b], square[:b]
         for j, theta in enumerate(representatives.tolist()):
+            col = out[start : start + b, j]
             for k in range(l):
-                # coordinates 0 and 1 start the two sums; later ones add to them
-                dest = sums[k % 2] if k < 2 else sq
+                # coordinate 0 starts the sum and each later one adds to it;
+                # the last operation writes the result's column
+                dest = acc if k == 0 else sq
                 np.subtract(coords[k], theta[k], out=dest)
-                np.multiply(dest, dest, out=dest)
-                if k >= 2:
-                    np.add(sums[k % 2], sq, out=sums[k % 2])
-            if l > 1:
-                np.add(sums[0], sums[1], out=out[start : start + b, j])
-            else:
-                out[start : start + b, j] = sums[0]
+                np.multiply(dest, dest, out=col if l == 1 else dest)
+                if k > 0:
+                    np.add(acc, sq, out=col if k == l - 1 else acc)
     return out
 
 
@@ -253,13 +247,13 @@ def total_cost(
     *,
     _terms: list[tuple[np.ndarray, ...]] | None = None,
 ) -> float:
-    """Full cost, accumulated points-outer / clusters-inner.
+    """Full cost: the sum of h over every (point, cluster) entry.
 
-    The accumulation order is fixed so traces are bit-reproducible on a given
-    platform: each entry adds (u*d + entropy) + sparsity, and each point
-    adds its clusters in index order, the order numpy's ``sum(axis=1)``
-    uses for fewer than 8 clusters.  Log and power run on the active
-    entries (u > 0) only; an inactive entry adds exactly 0.
+    Each cluster's column sums its active entries' terms (u*d + entropy) +
+    sparsity, and the column sums are added in cluster order, so a given
+    input gives the same bits on every call on a given platform.  Log and
+    power run on the active entries (u > 0) only; an inactive entry adds
+    exactly 0.
 
     ``_terms``, the :func:`_cost_terms` of ``U`` under ``state``'s gammas,
     lam and p, lets a caller that prices one ``U`` at several
@@ -275,10 +269,10 @@ def total_cost(
     if _terms is None:
         _terms = _cost_terms([_active(u[:, j]) for j in range(u.shape[1])], state)
     d = squared_distances(X.points, state.representatives)
-    costs = np.zeros(X.n_points)
+    cost = 0.0
     for j, (active, u_a, entropy, sparsity) in enumerate(_terms):
-        term = u_a * d[:, j][active]
+        term = u_a * d[active, j]
         term += entropy
         term += sparsity
-        np.add.at(costs, active, term)  # costs[active] += term: the indices are distinct
-    return float(costs.sum())
+        cost += float(term.sum())
+    return cost

@@ -109,7 +109,8 @@ def full_fcm_memberships(points: np.ndarray, centers: np.ndarray, fuzzifier: flo
 # FCM start: the allocating implementation that the buffered one in
 # spcm.initialization replaced, kept verbatim (names prefixed ``reference_``;
 # the error and warning branches, which leave every output alone, left out) as
-# the bit-for-bit reference for centres, memberships, gammas and mu.
+# the reference for centres, memberships, gammas and mu, which the package's
+# start matches within the numerical contract (``contract.py``).
 
 
 def reference_seed_representatives(points: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -144,6 +144,12 @@ class TestGenerateCommand:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
+    def test_blobs_next_to_centers_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["generate", "--centers", "0:0;1:1", "--blobs", "5", "--out", str(out)]) == 2
+        assert "error: --blobs would be ignored with --centers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -367,6 +373,19 @@ class TestRunCommand:
         assert code == 0
         memberships = np.loadtxt(out / "memberships.csv", delimiter=",")
         np.testing.assert_allclose(memberships.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_fcm_only_rejects_trace_and_plot_flags(self, source, dataset_csv, tmp_path, capsys):
+        out = tmp_path / "f"
+        options = {"input": str(dataset_csv), "out_dir": str(out), "clusters": "3", "algorithm": "fcm",
+                   "trace": "true", "plot_data": "true"}
+        assert main(run_argv(options, "trace", source, tmp_path / "run.cfg")) == 2
+        assert "error: --trace and --plot-data would be ignored with --algorithm fcm" in capsys.readouterr().err
+        assert not out.exists()
+        # a switch the config file turns off is not given
+        (tmp_path / "off.cfg").write_text("trace = no\n")
+        argv = ["run", "--algorithm", "fcm", "--input", str(dataset_csv), "--out-dir", str(out), "--clusters", "3"]
+        assert main([*argv, "--config", str(tmp_path / "off.cfg")]) == 0
 
     def test_runtime_violation_exit_code(self, dataset_csv, tmp_path, capsys):
         bad_K = (1 - 1e-9) * 0.5 * math.e  # passes parse, starves a cluster

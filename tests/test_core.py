@@ -8,6 +8,7 @@ from mpmath import mp
 from spcm.core import _BLOCK, DataSet, MembershipMatrix, ModelState, squared_distances, total_cost
 from spcm.driver import SolverConfig, run, run_pcm2, spcm_step
 
+from contract import assert_within_contract
 from oracles import einsum_squared_distances, full_term_matrix, naive_total_cost, nonsparse_cost
 
 mp.dps = 50
@@ -172,16 +173,21 @@ class TestDomainTypes:
 
 
 class TestStreamingKernels:
-    """The streaming kernels against the original full-array ones in oracles."""
+    """The streaming kernels against the original full-array ones in oracles,
+    within the numerical contract (``contract.py``) where they may round
+    differently."""
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     @pytest.mark.parametrize(("n", "m"), [(1, 1), (1, 3), (7, 1), (7, 4), (2 * _BLOCK + 5, 3), (_BLOCK, 4)])
-    def test_distances_bit_identical_to_einsum_at_low_dimension(self, rng, n, m, l):
+    def test_distances_match_einsum_at_low_dimension(self, rng, n, m, l):
         pts = rng.normal(scale=10.0, size=(n, l))
         reps = rng.normal(size=(m, l))
         d = squared_distances(pts, reps)
         assert d.shape == (n, m) and d.dtype == np.float64 and d.flags.c_contiguous
-        np.testing.assert_array_equal(d, einsum_squared_distances(pts, reps))
+        if l <= 2:  # one add, or none: no order to choose
+            np.testing.assert_array_equal(d, einsum_squared_distances(pts, reps))
+        else:
+            assert_within_contract(d, einsum_squared_distances(pts, reps))
 
     @pytest.mark.parametrize(("n", "m"), [(1, 1), (2 * _BLOCK + 5, 4)])
     def test_distances_match_einsum_at_sixteen_dimensions(self, rng, n, m):
@@ -250,7 +256,7 @@ class TestStreamingKernels:
 
     @pytest.mark.parametrize("solver", [run, run_pcm2])
     @pytest.mark.parametrize(("m", "p"), [(3, 0.5), (4, 0.5), (3, 0.2), (3, 0.9)])
-    def test_cost_bit_identical_to_full_matrix_on_a_run_trace(self, blob_benchmark, solver, m, p):
+    def test_cost_matches_full_matrix_on_a_run_trace(self, blob_benchmark, solver, m, p):
         X, _ = blob_benchmark
         result = solver(X, m, SolverConfig(p=p))
         assert result.n_iterations > 5
@@ -260,7 +266,8 @@ class TestStreamingKernels:
             U, state_next, replayed = spcm_step(X, state)
             assert replayed.cost == record.cost and replayed.cost_after_u == record.cost_after_u
             for s, cost in ((state, record.cost_after_u), (state_next, record.cost)):
-                assert cost == total_cost(X, U, s) == float(full_term_matrix(X, U, s).sum(axis=1).sum())
+                assert cost == total_cost(X, U, s)
+                assert_within_contract(cost, full_term_matrix(X, U, s).sum(axis=1).sum())
             state = state_next
 
     def test_inactive_entries_take_no_log(self):

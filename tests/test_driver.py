@@ -16,7 +16,7 @@ from spcm.driver import (
     spcm_step,
     update_theta,
 )
-from spcm.initialization import DegenerateDataError, compute_lambda
+from spcm.initialization import DegenerateDataError, compute_lambda, fcm_start
 from spcm.membership import InvalidParameterError, _workspace, build_context, radius_squared
 from spcm.monitor import check_fixed_point
 
@@ -235,6 +235,19 @@ class TestRun:
         report = check_fixed_point(X, result.state, result.membership)
         assert report.grad_ok, report.grad_norm
         assert report.hessian_ok and report.valley_ok and report.geometric_ok
+
+    def test_repeated_runs_are_bit_identical_at_threaded_blas_sizes(self):
+        # 3 x 30,000 points: large enough for a threaded BLAS to split the
+        # FCM start's and the theta update's products across threads
+        X, _ = generate_blobs(BlobSpec(default_centers(3), 30_000), seed=10)
+        starts = [fcm_start(X, 3) for _ in range(2)]
+        for got, want in zip(*starts):
+            np.testing.assert_array_equal(got, want)
+        first, second = (run(X, 3, SolverConfig(K=0.9)) for _ in range(2))
+        np.testing.assert_array_equal(first.membership.values, second.membership.values)
+        np.testing.assert_array_equal(first.state.representatives, second.state.representatives)
+        np.testing.assert_array_equal(first.state.gammas, second.state.gammas)
+        assert [(r.cost_after_u, r.cost) for r in first.trace] == [(r.cost_after_u, r.cost) for r in second.trace]
 
     def test_active_set_violation_carries_trace(self):
         X, _ = make_noise_benchmark(seed=0)

@@ -17,12 +17,13 @@ from spcm.initialization import (
     radius_bound,
     run_fcm,
     validate_K,
-    _check_column_sums,
+    _column_totals,
     _fcm_memberships,
     _gammas,
 )
 from spcm.membership import build_context, radius_squared, solve_membership_batch
 
+from contract import assert_within_contract
 from oracles import (
     full_fcm_memberships,
     reference_compute_gammas,
@@ -82,36 +83,38 @@ class TestRunFcm:
 
 
 class TestFcmMemberships:
-    """The column-wise membership step against the full-matrix oracle."""
+    """The column-wise membership step against the full-matrix oracle, within
+    the numerical contract (``contract.py``)."""
 
     @pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
     def test_matches_full_matrix_form(self, rng, fuzzifier):
         points = rng.normal(size=(500, 2))
         centers = rng.normal(size=(4, 2))
         u = _fcm_memberships(points, centers, fuzzifier)
-        np.testing.assert_array_equal(u, full_fcm_memberships(points, centers, fuzzifier))
+        assert_within_contract(u, full_fcm_memberships(points, centers, fuzzifier))
 
     @pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
     def test_points_on_a_center_match_full_matrix_form(self, rng, fuzzifier):
         points = rng.normal(size=(200, 2))
         centers = points[[3, 17, 17, 120]]  # two coincident centres split their point evenly
         u = _fcm_memberships(points, centers, fuzzifier)
-        np.testing.assert_array_equal(u, full_fcm_memberships(points, centers, fuzzifier))
+        assert_within_contract(u, full_fcm_memberships(points, centers, fuzzifier))
         np.testing.assert_array_equal(u[[3, 17, 120]], [[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1]])
 
 
 class TestBufferedStartMatchesReference:
-    """The buffered FCM start against the allocating one it replaced, bit for bit."""
+    """The buffered FCM start against the allocating one it replaced, within
+    the numerical contract (``contract.py``)."""
 
     @staticmethod
     def assert_start_matches(X, m, config):
         theta, u = run_fcm(X, m, config)
         ref_theta, ref_u = reference_run_fcm(X, m, config)
-        np.testing.assert_array_equal(theta, ref_theta)
-        np.testing.assert_array_equal(u, ref_u)
+        assert_within_contract(theta, ref_theta, "theta")
+        assert_within_contract(u, ref_u)
         gammas = reference_compute_gammas(X, theta, u)
         for got, want in zip(fcm_start(X, m, config), (theta, u, gammas, reference_compute_mu(X, theta, gammas))):
-            np.testing.assert_array_equal(got, want)
+            assert_within_contract(got, want, "theta" if want is theta else "")
 
     @pytest.mark.parametrize("fuzzifier", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("m", [1, 3, 4])
@@ -142,7 +145,7 @@ class TestBufferedStartMatchesReference:
 
 def fcm_gammas(X, theta, u):
     """The gammas fcm_start derives from its memberships ``u`` at representatives ``theta``."""
-    return _gammas(u, squared_distances(X.points, theta), _check_column_sums(u))
+    return _gammas(u, squared_distances(X.points, theta), _column_totals(u))
 
 
 class TestComputeGammas:
