@@ -91,6 +91,10 @@ class FixedPointReport:
     per_cluster_pd_margin: tuple[float, ...]
     # admissible valley samples found (at most MonitorSettings.ball_samples)
     per_cluster_valley_samples: tuple[int, ...]
+    # the smallest quadratic form the valley check evaluated, over the
+    # fixed-point forms and the interior probes together; inf when it
+    # evaluated none
+    per_cluster_valley_min_form: tuple[float, ...]
 
 
 def _membership_values(U) -> np.ndarray:
@@ -303,6 +307,7 @@ def check_fixed_point(
     per_cluster_pd: list[bool] = []
     pd_margins: list[float] = []
     sample_counts: list[int] = []
+    min_forms: list[float] = []
     valley_ok = True
     geometric_ok = True
     eps_values: list[float] = []
@@ -322,6 +327,7 @@ def check_fixed_point(
             per_cluster_pd.append(False)
             pd_margins.append(-math.inf)
             sample_counts.append(0)
+            min_forms.append(math.inf)
             valley_ok = False
             if not (d2[:, j] > r_sq).all():
                 geometric_ok = False
@@ -358,8 +364,9 @@ def check_fixed_point(
             # no admissible sample: the state is too far from stationarity
             # for the valley to exist; never report a vacuous pass
             valley_ok = False
-        if n_samp and (_arrowhead_forms(g, C, s, u_samp, th_samp) <= 0).any():
-            valley_ok = False
+        min_form = math.inf
+        if n_samp:
+            min_form = float(_arrowhead_forms(g, C, s, u_samp, th_samp).min())
 
         # Interior variant: Hessians at sampled states, probed with other
         # sampled points (separations up to twice the radius).  Samples keep
@@ -367,8 +374,10 @@ def check_fixed_point(
         for t in range(min(settings.cross_samples, n_samp)):
             g_t, C_t, s_t = _arrowhead_blocks(pts, u_samp[t], th_samp[t], gamma, lam, p)
             probe = rng.integers(0, n_samp, size=min(8, n_samp))
-            if (_arrowhead_forms(g_t, C_t, s_t, u_samp[probe], th_samp[probe]) <= 0).any():
-                valley_ok = False
+            min_form = min(min_form, float(_arrowhead_forms(g_t, C_t, s_t, u_samp[probe], th_samp[probe]).min()))
+        min_forms.append(min_form)
+        if min_form <= 0:
+            valley_ok = False
 
         # Geometry: active points inside the influence ball, inactive outside.
         if (d2[is_active, j] > r_sq).any():
@@ -387,4 +396,5 @@ def check_fixed_point(
         per_cluster_hessian_ok=tuple(per_cluster_pd),
         per_cluster_pd_margin=tuple(pd_margins),
         per_cluster_valley_samples=tuple(sample_counts),
+        per_cluster_valley_min_form=tuple(min_forms),
     )

@@ -230,6 +230,41 @@ class TestCheckFixedPoint:
         assert report.grad_norm == np.inf and not report.valley_ok
         assert not report.per_cluster_hessian_ok[1] and report.per_cluster_valley_samples[1] == 0
 
+    def test_valley_min_form_is_the_smallest_form_evaluated(self, converged, monkeypatch):
+        X, result = converged
+        forms = []
+        real = spcm.monitor._arrowhead_forms
+        monkeypatch.setattr(spcm.monitor, "_arrowhead_forms", lambda *args: forms.append(real(*args)) or forms[-1])
+        settings = MonitorSettings(ball_samples=40, cross_samples=3)
+        report = check_fixed_point(X, result.state, result.membership, settings)
+        per_cluster = 1 + settings.cross_samples
+        want = [float(np.concatenate(forms[j * per_cluster:(j + 1) * per_cluster]).min()) for j in range(3)]
+        assert report.per_cluster_valley_min_form == tuple(want)
+        assert report.valley_ok and all(form > 0 for form in want)
+
+    def test_valley_min_form_is_inf_where_no_form_was_evaluated(self, converged):
+        X, result = converged
+        values = result.membership.values.copy()
+        values[:, 1] = 0.0
+        report = check_fixed_point(X, result.state, MembershipMatrix(values), MonitorSettings(ball_samples=50))
+        assert report.per_cluster_valley_min_form[1] == np.inf
+        assert all(np.isfinite(report.per_cluster_valley_min_form[j]) for j in (0, 2))
+        report = check_fixed_point(X, result.state, result.membership, MonitorSettings(ball_samples=0))
+        assert report.per_cluster_valley_min_form == (np.inf,) * 3
+
+    def test_valley_min_form_sees_a_sampler_shifted_by_one_double(self, converged, monkeypatch):
+        # skipping one double short of the undrawn candidates shifts every
+        # later draw; no verdict or count changes, but the smallest form does
+        X, result = converged
+        settings = MonitorSettings(ball_samples=200)
+        report = check_fixed_point(X, result.state, result.membership, settings)
+        real = spcm.monitor._skip_doubles
+        monkeypatch.setattr(spcm.monitor, "_skip_doubles", lambda rng, count: real(rng, count - 1))
+        shifted = check_fixed_point(X, result.state, result.membership, settings)
+        for name in ("valley_ok", "per_cluster_valley_samples", "per_cluster_pd_margin", "grad_norm"):
+            assert getattr(shifted, name) == getattr(report, name), name
+        assert shifted.per_cluster_valley_min_form != report.per_cluster_valley_min_form
+
     def test_epsilon_bound_formula(self):
         state = ModelState([[0.0]], [1.0], 0.5, 0.5)
         assert epsilon_bound(state, 0) == pytest.approx(0.25, rel=1e-15)
