@@ -23,8 +23,11 @@ provably convex for a radius eps below 0.5*sqrt((1-p)*gamma/2), or
 s*|theta'|^2, in O(k*l) per sample.  The sampler draws candidates only until
 it has the samples it keeps and skips the random stream past the rest, so
 its samples and the generator's later draws are those of drawing every
-candidate.  Finally the geometry is checked: active points lie inside the
-cluster's influence ball, inactive points outside.
+candidate.  It draws them, and the forms are evaluated, in blocks of at most
+``_BLOCK_BYTES`` (256 KiB), so a cluster's check holds one (n, k) array of
+kept samples and nothing else of that size.  Finally the geometry is
+checked: active points lie inside the cluster's influence ball, inactive
+points outside.
 :func:`assemble_hessian` keeps the dense matrix as a reference.
 """
 
@@ -143,8 +146,16 @@ def _arrowhead_forms(
     g: np.ndarray, C: np.ndarray, s: float, u: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
     """Quadratic forms z^T H z of the arrowhead with blocks (g, C, s), one per
-    row z = (u[r], theta[r]); O(rows*k*l) with no (k+l)^2 matrix."""
-    return (u * u) @ g + 2.0 * np.einsum("rq,rq->r", u @ C, theta) + s * np.einsum("rq,rq->r", theta, theta)
+    row z = (u[r], theta[r]); O(rows*k*l) with no (k+l)^2 matrix, a block of
+    rows at a time so that no temporary outgrows ``_BLOCK_BYTES``."""
+    rows = _block_rows(g.size)
+    forms = np.empty(u.shape[0])
+    square = np.empty((min(rows, u.shape[0]), g.size))
+    for a in range(0, u.shape[0], rows):
+        u_b, th_b = u[a:a + rows], theta[a:a + rows]
+        u_sq = np.multiply(u_b, u_b, out=square[:len(u_b)])
+        forms[a:a + rows] = u_sq @ g + 2.0 * np.einsum("rq,rq->r", u_b @ C, th_b) + s * np.einsum("rq,rq->r", th_b, th_b)
+    return forms
 
 
 def _schur_complement(g: np.ndarray, C: np.ndarray, s: float) -> np.ndarray:
@@ -188,6 +199,16 @@ def epsilon_bound(state: ModelState, cluster: int) -> float:
     return 0.5 * np.sqrt(scale * gamma / 2.0)
 
 
+# The valley check draws its candidates, and evaluates its forms, in blocks
+# of at most this many bytes, so its working set stays cache-sized at any k.
+_BLOCK_BYTES = 2**18
+
+
+def _block_rows(k: int) -> int:
+    """Rows of k doubles in one block."""
+    return max(1, _BLOCK_BYTES // (8 * k))
+
+
 def _is_positive_definite(H: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(H)
@@ -228,50 +249,40 @@ def _valley_samples(
     Each pass stands for max(n, 4*(n - found)) candidate rows at half the
     previous step; the result is the first n admissible ones in draw order.
     A pass draws its rows in rounds (n - found rows, then twice as many,
-    never past the pass) and stops at the n-th admissible row.  It skips the
-    stream of the rows it never draws, so the generator ends where drawing
-    every row would leave it; the skip needs a bit generator whose
-    ``advance(d)`` passes d doubles, as PCG64 (``default_rng``) does.  The
-    weighted means of a round's rows come from a product of the pass's full
-    shape, the undrawn rows held at zero or at an earlier pass's finite
-    values: BLAS may round a row differently in a product of another shape.
+    never past the pass), each round in blocks of at most ``_BLOCK_BYTES``,
+    and stops at the n-th admissible row.  It skips the stream of the rows
+    it never draws, so the generator ends where drawing every row would
+    leave it; the skip needs a bit generator whose ``advance(d)`` passes d
+    doubles, as PCG64 (``default_rng``) does.  The kept rows are copied into
+    one (n, k) array, the only array of the cluster's size.
     """
     pts = X.points[active]
     k = u_star.size
-    # the undrawn rows stay on zero pages that are never made resident
-    cand = np.zeros((4 * n, k))
-    chunk = max(1, 2**16 // k)
-    u_kept: list[np.ndarray] = []
-    th_kept: list[np.ndarray] = []
+    u_kept, th_kept = np.empty((n, k)), np.empty((n, theta_star.size))
+    block_rows = _block_rows(k)
     found = 0
     step = scale
     while found < n and step > 1e-12:
         draw = max(n, 4 * (n - found))
-        drawn, rows = 0, n - found
+        drawn, stop, rows = 0, 0, n - found
         while found < n and drawn < draw:
-            stop = min(drawn + rows, draw)
-            # a bounded chunk at a time, so no second round-sized array is resident
-            for a in range(drawn, stop, chunk):
-                cand[a:min(a + chunk, stop)] = rng.uniform(-step, step, size=(min(chunk, stop - a), k))
-            block = cand[drawn:stop]
+            if drawn == stop:  # the next round: twice the last one's rows, never past the pass
+                stop, rows = min(drawn + rows, draw), 2 * rows
+            block = rng.uniform(-step, step, size=(min(block_rows, stop - drawn), k))
             block += 1.0
             block *= u_star
             np.clip(block, lo, hi, out=block)
-            means = (cand[:draw] @ pts)[drawn:stop]
+            means = block @ pts
             means /= block.sum(axis=1)[:, None]
             keep = np.flatnonzero(np.linalg.norm(means - theta_star, axis=1) < eps)[: n - found]
-            u_kept.append(block[keep])
-            th_kept.append(means[keep])
+            u_kept[found:found + keep.size] = block[keep]
+            th_kept[found:found + keep.size] = means[keep]
             found += keep.size
-            drawn, rows = stop, 2 * rows
+            drawn += block.shape[0]
         if drawn < draw:
             _skip_doubles(rng, (draw - drawn) * k)
         step *= 0.5
-    if not u_kept:
-        return np.empty((0, k)), np.empty((0, theta_star.size))
-    if len(u_kept) == 1:  # the common case: no second copy of the kept rows
-        return u_kept[0], th_kept[0]
-    return np.concatenate(u_kept), np.concatenate(th_kept)
+    return u_kept[:found], th_kept[:found]
 
 
 def check_fixed_point(
@@ -375,6 +386,7 @@ def check_fixed_point(
             g_t, C_t, s_t = _arrowhead_blocks(pts, u_samp[t], th_samp[t], gamma, lam, p)
             probe = rng.integers(0, n_samp, size=min(8, n_samp))
             min_form = min(min_form, float(_arrowhead_forms(g_t, C_t, s_t, u_samp[probe], th_samp[probe]).min()))
+        del u_samp, th_samp  # one cluster's samples alive at a time
         min_forms.append(min_form)
         if min_form <= 0:
             valley_ok = False
