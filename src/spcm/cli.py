@@ -132,9 +132,10 @@ def _write_rows(path: str | Path, rows: Iterable[Iterable[str]], header: list[st
 
 
 def emit_csv(path: str | Path, array: np.ndarray, header: list[str] | None = None) -> None:
-    """Write an array as CSV with full-precision decimals."""
-    rows = np.atleast_2d(np.asarray(array))
-    _write_rows(path, ((_fmt(float(v)) for v in row) for row in rows), header)
+    """Write an array as CSV with full-precision decimals, every cell as a
+    float (an integer or boolean array prints ``1.0``)."""
+    rows = np.atleast_2d(np.asarray(array, dtype=np.float64)).tolist()
+    _write_rows(path, (map(repr, row) for row in rows), header)
 
 
 def default_centers(n_blobs: int) -> np.ndarray:
@@ -355,6 +356,9 @@ _RUN_OPTIONS: dict[str, tuple[Callable[[str], object], str | None, str | None]] 
     "plot_data": (_switch, None, "write cost/trajectory tables for external plotting"),
 }
 _VALIDATE_OPTIONS = ("input", "clusters", "p", "K", "seed")
+# The run options each algorithm would leave unread: FCM reads only the
+# seed, and pcm2 starts from K = 0.
+_UNREAD = {"fcm": ("p", "K", "theta_tol", "max_iters", "dedup", "trace", "plot_data"), "pcm2": ("K",)}
 
 
 def _flag(key: str) -> str:
@@ -436,8 +440,12 @@ def run_command(args: argparse.Namespace) -> int:
     options = _run_options(args)
     config = _solver_config(options)
     algorithm, m = options["algorithm"], options["clusters"]
-    if algorithm == "fcm":
-        _reject_unread([key for key in ("trace", "plot_data") if options.get(key)], "--algorithm fcm")
+    # a switch is given only when it is on
+    given = [
+        key for key in _UNREAD.get(algorithm, ())
+        if key in options and (options[key] or _RUN_OPTIONS[key][0] is not _switch)
+    ]
+    _reject_unread(given, f"--algorithm {algorithm}")
     X = ingest_csv(options["input"])
     out_dir = Path(options.get("out_dir", "."))
 

@@ -12,7 +12,8 @@ the references for the library's streaming ones; the allocating membership
 solver is the reference for the in-place one, and the allocating FCM start
 (seeding, iteration, gammas, mu) for the buffered one.  The dense
 fixed-point monitor at the end is the original full-matrix implementation,
-kept as the reference for the library's structured one.
+kept as the reference for the library's structured one, and the per-cell
+CSV writer for the vectorised one.
 """
 
 import math
@@ -23,6 +24,14 @@ from scipy.optimize import brentq
 from spcm.core import MembershipMatrix, ModelState, squared_distances
 from spcm.membership import radius_squared
 from spcm.monitor import MonitorSettings, epsilon_bound, gradient_residual
+
+
+def per_cell_csv(array, header=None) -> str:
+    """The text ``spcm.cli.emit_csv`` writes, formatted one cell at a time
+    as the shortest round-trip decimal of the cell as a float."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(np.asarray(array))]
+    return "".join(line + "\n" for line in lines)
 
 
 def naive_point_term(d, u, gamma, lam, p):

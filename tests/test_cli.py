@@ -17,6 +17,8 @@ from spcm.cli import (
 from spcm.driver import SolverConfig
 from spcm.initialization import FcmConfig
 
+from oracles import per_cell_csv
+
 
 def write(path, text):
     path.write_text(text)
@@ -58,6 +60,31 @@ class TestIngestCsv:
         emit_csv(tmp_path / "out.csv", pts)
         back = ingest_csv(tmp_path / "out.csv")
         np.testing.assert_array_equal(back.points, pts)
+
+
+class TestEmitCsv:
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([[0.1, -0.0, 1e-310], [np.inf, -np.inf, 5e-324], [1.0, 2.5e300, -1.7976931348623157e308]]),
+            np.array([[3, -4], [2**53 + 1, 0]]),
+            np.array([[True, False], [False, True]]),
+            np.array([0.25, -0.0, 7.0]),
+            np.arange(4, dtype=np.float32).reshape(2, 2) / 3,
+        ],
+        ids=["float", "int", "bool", "1-d", "float32"],
+    )
+    @pytest.mark.parametrize("header", [None, ["a", "b", "c"]], ids=["no-header", "header"])
+    def test_matches_the_per_cell_writer(self, array, header, tmp_path):
+        emit_csv(tmp_path / "out.csv", array, header)
+        assert (tmp_path / "out.csv").read_bytes() == per_cell_csv(array, header).encode()
+
+    def test_matches_the_per_cell_writer_on_random_doubles(self, tmp_path, rng):
+        bits = rng.integers(0, 2**64, size=(200, 5), dtype=np.uint64, endpoint=False)
+        array = bits.view(np.float64)
+        array[np.isnan(array)] = 0.0
+        emit_csv(tmp_path / "out.csv", array)
+        assert (tmp_path / "out.csv").read_bytes() == per_cell_csv(array).encode()
 
 
 class TestGenerateBlobs:
@@ -386,6 +413,30 @@ class TestRunCommand:
         (tmp_path / "off.cfg").write_text("trace = no\n")
         argv = ["run", "--algorithm", "fcm", "--input", str(dataset_csv), "--out-dir", str(out), "--clusters", "3"]
         assert main([*argv, "--config", str(tmp_path / "off.cfg")]) == 0
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "algorithm, key, value",
+        [("pcm2", "K", "0.7"), ("fcm", "p", "0.3"), ("fcm", "K", "0.7"), ("fcm", "theta_tol", "1e-8"),
+         ("fcm", "max_iters", "3"), ("fcm", "dedup", "0.5"), ("fcm", "dedup", "auto")],
+    )
+    def test_algorithm_rejects_the_options_it_would_not_read(
+        self, algorithm, key, value, source, dataset_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        options = {"input": str(dataset_csv), "out_dir": str(out), "clusters": "3", "algorithm": algorithm, key: value}
+        assert main(run_argv(options, key, source, tmp_path / "run.cfg")) == 2
+        assert f"error: {flag(key)} would be ignored with --algorithm {algorithm}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fcm_names_every_option_it_would_not_read(self, dataset_csv, tmp_path, capsys):
+        argv = ["run", "--algorithm", "fcm", "--input", str(dataset_csv), "--out-dir", str(tmp_path / "o"),
+                "--clusters", "3", "--p", "0.3", "--K", "0.7", "--dedup", "0.5", "--max-iters", "3", "--trace"]
+        assert main(argv) == 2
+        assert (
+            "error: --p and --K and --max-iters and --dedup and --trace would be ignored with --algorithm fcm"
+            in capsys.readouterr().err
+        )
 
     def test_runtime_violation_exit_code(self, dataset_csv, tmp_path, capsys):
         bad_K = (1 - 1e-9) * 0.5 * math.e  # passes parse, starves a cluster

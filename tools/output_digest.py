@@ -38,8 +38,8 @@ The ``cli/...`` cases run every other CLI output on the first ``cli-audit``
 input: ``run --trace --plot-data``, ``--algorithm pcm2`` and ``fcm``,
 ``validate-params``, ``generate`` with default and with explicit flags, and
 the exit code and stderr of each error path (missing input, K past the
-radius bound, a starved cluster, an unknown config key, a flag that the
-command would ignore) and of the iteration-cap warning; each gets its exit
+radius bound, a starved cluster, an unknown config key, a flag or config
+key that the command would ignore) and of the iteration-cap warning; each gets its exit
 code, stdout, stderr (the temporary directory written ``<tmp>``) and every
 file it writes.  Every library run but the ``fit-large`` ones, where the
 monitor would add seconds and hundreds of megabytes per case, also gets a
@@ -262,6 +262,9 @@ def cli_cases(cli, tmp: Path, data: Path) -> dict[str, dict[str, str]]:
         "run-pcm2": ["--algorithm", "pcm2", "--seed", "3", "--trace", "--plot-data"],
         "run-fcm": ["--algorithm", "fcm", "--seed", "3"],
         "run-fcm-trace-plot": ["--algorithm", "fcm", "--trace", "--plot-data"],
+        "run-fcm-solver-flags": ["--algorithm", "fcm", "--p", "0.3", "--K", "0.7", "--theta-tol", "1e-8",
+                                 "--max-iters", "3", "--dedup", "0.5"],
+        "run-pcm2-K": ["--algorithm", "pcm2", "--K", "0.7"],
         # K past the activation bound at m = 5, yet every cluster keeps a point
         "run-warnings": ["--clusters", "5", "--p", "0.3", "--K", "1.2161955273834157", "--dedup", "0.05"],
         "missing-input": ["--input", str(tmp / "absent.csv")],
@@ -275,6 +278,12 @@ def cli_cases(cli, tmp: Path, data: Path) -> dict[str, dict[str, str]]:
     config = tmp / "unknown.cfg"
     config.write_text("inputs = nope\n")
     cases["cli/unknown-config-key"] = cli_output(cli, [*run, "--config", str(config)], tmp)
+    config = tmp / "pcm2-K.cfg"
+    config.write_text("K = 0.7\n")
+    out = tmp / "run-pcm2-K-config"
+    cases["cli/run-pcm2-K-config"] = cli_output(
+        cli, [*run, "--algorithm", "pcm2", "--out-dir", str(out), "--config", str(config)], tmp, out
+    )
     validate = ["validate-params", "--input", str(data), "--clusters", "3"]
     for name, extra in {"default": [], "K0.9": ["--K", "0.9"], "p0.3-seed2": ["--p", "0.3", "--seed", "2"],
                         "warnings": ["--K", "1.3591"], "K-past-bound": ["--K", "2.0"]}.items():
