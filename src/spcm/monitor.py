@@ -154,7 +154,8 @@ def _arrowhead_forms(
     for a in range(0, u.shape[0], rows):
         u_b, th_b = u[a:a + rows], theta[a:a + rows]
         u_sq = np.multiply(u_b, u_b, out=square[:len(u_b)])
-        forms[a:a + rows] = u_sq @ g + 2.0 * np.einsum("rq,rq->r", u_b @ C, th_b) + s * np.einsum("rq,rq->r", th_b, th_b)
+        cross = np.einsum("rq,rq->r", u_b @ C, th_b)
+        forms[a:a + rows] = u_sq @ g + 2.0 * cross + s * np.einsum("rq,rq->r", th_b, th_b)
     return forms
 
 
@@ -297,9 +298,10 @@ def check_fixed_point(
     (``inf`` when a cluster has no active point) and its tolerance flag,
     per-cluster positive-definiteness (g > 0 and a Cholesky factorisation
     of the l x l Schur complement), the sampled quadratic-form positivity
-    over the convexity valley (both against the fixed-point Hessian and
-    against Hessians at sampled interior states, whose pairwise separation
-    can reach twice the sampling radius), and the ball geometry of
+    over the convexity valley, with each cluster's smallest form (both
+    against the fixed-point Hessian and against Hessians at sampled interior
+    states, whose pairwise separation can reach twice the sampling radius),
+    and the ball geometry of
     active/inactive points.  A cluster with no active point fails every
     check but the geometry, which is still checked over its points.  No
     (k+l) x (k+l) matrix is built: every check works on the blocks (g, C, s).
@@ -375,9 +377,7 @@ def check_fixed_point(
             # no admissible sample: the state is too far from stationarity
             # for the valley to exist; never report a vacuous pass
             valley_ok = False
-        min_form = math.inf
-        if n_samp:
-            min_form = float(_arrowhead_forms(g, C, s, u_samp, th_samp).min())
+        min_form = float(_arrowhead_forms(g, C, s, u_samp, th_samp).min()) if n_samp else math.inf
 
         # Interior variant: Hessians at sampled states, probed with other
         # sampled points (separations up to twice the radius).  Samples keep
@@ -385,7 +385,8 @@ def check_fixed_point(
         for t in range(min(settings.cross_samples, n_samp)):
             g_t, C_t, s_t = _arrowhead_blocks(pts, u_samp[t], th_samp[t], gamma, lam, p)
             probe = rng.integers(0, n_samp, size=min(8, n_samp))
-            min_form = min(min_form, float(_arrowhead_forms(g_t, C_t, s_t, u_samp[probe], th_samp[probe]).min()))
+            forms = _arrowhead_forms(g_t, C_t, s_t, u_samp[probe], th_samp[probe])
+            min_form = min(min_form, float(forms.min()))
         del u_samp, th_samp  # one cluster's samples alive at a time
         min_forms.append(min_form)
         if min_form <= 0:

@@ -39,9 +39,9 @@ input: ``run --trace --plot-data``, ``--algorithm pcm2`` and ``fcm``,
 ``validate-params``, ``generate`` with default and with explicit flags, and
 the exit code and stderr of each error path (missing input, K past the
 radius bound, a starved cluster, an unknown config key, a flag or config
-key that the command would ignore) and of the iteration-cap warning; each gets its exit
-code, stdout, stderr (the temporary directory written ``<tmp>``) and every
-file it writes.  Every library run but the ``fit-large`` ones, where the
+key that the command would ignore) and of the iteration-cap warning; each
+gets its exit code, stdout, stderr (the temporary directory written
+``<tmp>``) and every file it writes.  Every library run but the ``fit-large`` ones, where the
 monitor would add seconds and hundreds of megabytes per case, also gets a
 ``<case>/monitor`` entry: each field of ``check_fixed_point``'s report at
 default settings.  The ``cli-audit`` m = 3 runs get a
