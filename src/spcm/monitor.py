@@ -222,14 +222,13 @@ def _skip_doubles(rng: np.random.Generator, count: int) -> None:
     """Move ``rng`` past ``count`` doubles as if ``rng.uniform`` had drawn them.
 
     Each double takes one 64-bit output, which ``advance`` skips; ``advance``
-    also drops the 32-bit half that a bounded ``integers`` draw may have
-    buffered, so that half is put back.
+    also clears the 32-bit half that a bounded ``integers`` draw may have
+    buffered, and its flag, which doubles never touch, so both are put back.
     """
     bitgen = rng.bit_generator
     before = bitgen.state
     bitgen.advance(count)
-    if before["has_uint32"]:
-        bitgen.state = {**bitgen.state, "has_uint32": before["has_uint32"], "uinteger": before["uinteger"]}
+    bitgen.state = {**bitgen.state, "has_uint32": before["has_uint32"], "uinteger": before["uinteger"]}
 
 
 def _valley_samples(

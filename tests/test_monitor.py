@@ -415,6 +415,18 @@ class TestStructuredHessian:
                 # than one round, and a second pass followed
                 assert rng_new.rows_drawn > 4 * n
 
+    def test_valley_sampler_keeps_a_consumed_buffered_half(self, converged):
+        # two bounded integers draws buffer a 32-bit half and then consume it;
+        # the spent half stays in the state, which drawing doubles never touches
+        for args in _valley_args(converged, 50, 0.05, 0.99):
+            rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
+            for rng in (rng_new, rng_old):
+                rng.integers(0, 10, size=2)
+            assert not rng_new.bit_generator.state["has_uint32"] and rng_new.bit_generator.state["uinteger"]
+            _valley_samples(*args, rng_new)
+            dense_valley_samples(*args, rng_old)
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
     def test_valley_sampler_draws_no_more_than_it_keeps(self, converged):
         # every candidate is admissible here, so only the n kept rows are drawn
         n = 1000
